@@ -10,10 +10,14 @@ BENCH_FLAGS := -base 2000 -inserts 500 -xmark 1000 -xprime 200
 
 all: build test
 
-# Static analysis: vet always; staticcheck when available. CI pins the
-# staticcheck version via `go run` (see .github/workflows/ci.yml); local
-# runs without it installed just skip that half rather than failing.
+# Static analysis: gofmt (any unformatted file fails), vet always;
+# staticcheck when available. CI pins the staticcheck version via `go run`
+# (see .github/workflows/ci.yml); local runs without it installed just
+# skip that half rather than failing.
 lint:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
+	fi
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \

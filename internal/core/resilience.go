@@ -186,16 +186,11 @@ func (s *Store) restoreCommittedMeta() error {
 // device that actually persists blocks.
 func unwrapBackend(b pager.Backend) pager.Backend {
 	for {
-		switch w := b.(type) {
-		case *pager.FaultBackend:
-			b = w.Inner
-		case *pager.CrashBackend:
-			b = w.Inner
-		case *pager.FlakyBackend:
-			b = w.Inner
-		default:
+		w, ok := b.(*pager.FaultBackend)
+		if !ok {
 			return b
 		}
+		b = w.Inner
 	}
 }
 

@@ -156,7 +156,7 @@ func TestCorruptionWALTail(t *testing.T) {
 		}
 
 		ctrl := pager.NewCrashController(crashAt, false)
-		fb, err = pager.OpenFileOpts(path, pager.FileOptions{NoSync: true, CrashControl: ctrl})
+		fb, err = pager.OpenFileOpts(path, pager.FileOptions{NoSync: true, DiskControl: ctrl})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +225,7 @@ func TestConcurrentLookupsAfterRecovery(t *testing.T) {
 
 	// Crash partway through the scripted workload.
 	ctrl := pager.NewCrashController(25, true)
-	fb, err := pager.OpenFileOpts(base, pager.FileOptions{NoSync: true, CrashControl: ctrl})
+	fb, err := pager.OpenFileOpts(base, pager.FileOptions{NoSync: true, DiskControl: ctrl})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,7 +112,7 @@ func TestDoubleCrashMatrix(t *testing.T) {
 func runUntilCrash(t *testing.T, path string, cfg schemeConfig, at int, baseLIDs []order.LID, baseElems []order.ElemLIDs) (opsDone int, crashed bool) {
 	t.Helper()
 	ctrl := pager.NewCrashController(at, false)
-	fb, err := pager.OpenFileOpts(path, pager.FileOptions{NoSync: true, CrashControl: ctrl})
+	fb, err := pager.OpenFileOpts(path, pager.FileOptions{NoSync: true, DiskControl: ctrl})
 	if err != nil {
 		t.Fatalf("at=%d: open: %v", at, err)
 	}

@@ -57,7 +57,7 @@ func batchScriptOp(w *world, j int) error {
 func goldenGroupRun(t *testing.T, path string, baseLIDs []order.LID, baseElems []order.ElemLIDs) (snapshots [][]order.LID, writePoints int) {
 	t.Helper()
 	ctrl := pager.NewCrashController(0, false)
-	fb, err := pager.OpenFileOpts(path, pager.FileOptions{NoSync: true, CrashControl: ctrl})
+	fb, err := pager.OpenFileOpts(path, pager.FileOptions{NoSync: true, DiskControl: ctrl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestCrashMatrixGroupCommit(t *testing.T) {
 					copyStore(t, base, crash)
 
 					ctrl := pager.NewCrashController(at, torn)
-					fb, err := pager.OpenFileOpts(crash, pager.FileOptions{NoSync: true, CrashControl: ctrl})
+					fb, err := pager.OpenFileOpts(crash, pager.FileOptions{NoSync: true, DiskControl: ctrl})
 					if err != nil {
 						t.Fatalf("%s: open: %v", tag, err)
 					}

@@ -146,7 +146,7 @@ func zooSources() []zooSource {
 func zooGoldenRun(t *testing.T, path string, src workload.Source, baseLIDs []order.LID, baseElems []order.ElemLIDs) (snapshots [][]order.LID, writePoints int) {
 	t.Helper()
 	ctrl := pager.NewCrashController(0, false)
-	fb, err := pager.OpenFileOpts(path, pager.FileOptions{NoSync: true, CrashControl: ctrl})
+	fb, err := pager.OpenFileOpts(path, pager.FileOptions{NoSync: true, DiskControl: ctrl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestZooCrashSweep(t *testing.T) {
 						copyStore(t, base, crash)
 
 						ctrl := pager.NewCrashController(at, torn)
-						fb, err := pager.OpenFileOpts(crash, pager.FileOptions{NoSync: true, CrashControl: ctrl})
+						fb, err := pager.OpenFileOpts(crash, pager.FileOptions{NoSync: true, DiskControl: ctrl})
 						if err != nil {
 							t.Fatalf("%s: open: %v", tag, err)
 						}

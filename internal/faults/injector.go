@@ -13,9 +13,6 @@ const (
 	OpWrite
 	OpAllocate
 	OpFree
-	// OpSync is an fsync/durability barrier. Faults injected on it must
-	// surface as SyncError so they classify Permanent (never retried).
-	OpSync
 	numOps
 )
 
@@ -29,8 +26,6 @@ func (o Op) String() string {
 		return "allocate"
 	case OpFree:
 		return "free"
-	case OpSync:
-		return "sync"
 	default:
 		return "op?"
 	}
@@ -85,12 +80,14 @@ type Injector interface {
 }
 
 // Schedule is the one deterministic, seeded fault engine behind the
-// pager's injection backends (FlakyBackend, CrashBackend, FaultBackend).
-// It composes every historical injection shape — a success budget that
-// then fails permanently, an armed burst of transient faults, a power cut
-// at the n-th write (optionally torn), a fault every k-th operation, and
-// seeded random faults — under one precedence order, so the crash matrix
-// and the retry tests share fault schedules that replay exactly.
+// block- and connection-level injectors (pager.FaultBackend and
+// serve.FaultConn); raw file writes underneath a FileBackend have their
+// own planned engine, pager.DiskController. It composes every injection
+// shape — a success budget that then fails permanently, an armed burst of
+// transient faults, a power cut at the n-th write (optionally torn), a
+// fault every k-th operation, and seeded random faults — under one
+// precedence order, so failure, retry and crash tests share fault
+// schedules that replay exactly.
 //
 // Decision precedence: dead device > armed transient burst > crash point >
 // every-k-th > random > exhausted budget.
@@ -104,9 +101,6 @@ type Schedule struct {
 	crashAtWrite int // 1-based write that cuts power; 0 = never
 	crashTorn    bool
 
-	noSpaceAtWrite int // 1-based write that hits ENOSPC (one-shot); 0 = never
-	failSyncAt     int // 1-based sync that fails (one-shot); 0 = never
-
 	everyK    int // every k-th eligible op fails; 0 = off
 	everyMode Mode
 	everyOps  [numOps]bool
@@ -118,7 +112,6 @@ type Schedule struct {
 
 	ops      int // total operations decided (while alive)
 	writes   int // write operations decided (while alive)
-	syncs    int // sync operations decided (while alive)
 	injected int // faults fired, the dead-device tail excluded
 	dead     bool
 }
@@ -164,34 +157,6 @@ func (s *Schedule) CrashAtWrite(n int, torn bool) {
 	defer s.mu.Unlock()
 	s.crashAtWrite = n
 	s.crashTorn = torn
-}
-
-// NoSpaceAtWrite makes the n-th write (1-based; 0 disables) fail with
-// ErrNoSpace, one-shot: the device is full for exactly that write and
-// has space again afterward — the sharpest probe of the clean-abort
-// contract (the op must roll back to pre-op state and the next op must
-// succeed).
-func (s *Schedule) NoSpaceAtWrite(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.noSpaceAtWrite = n
-}
-
-// FailSyncAt makes the n-th sync (1-based; 0 disables) fail, one-shot.
-// Backends render the failure as a SyncError, which classifies
-// Permanent regardless of errno — a failed fsync must never be
-// retried-and-trusted.
-func (s *Schedule) FailSyncAt(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.failSyncAt = n
-}
-
-// Syncs reports the sync operations decided while the device was alive.
-func (s *Schedule) Syncs() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.syncs
 }
 
 // FailEveryKth fires a fault of the given mode on every k-th eligible
@@ -272,9 +237,6 @@ func (s *Schedule) Decide(op Op) Decision {
 	if op == OpWrite {
 		s.writes++
 	}
-	if op == OpSync {
-		s.syncs++
-	}
 	if s.failNext > 0 {
 		s.failNext--
 		s.injected++
@@ -284,16 +246,6 @@ func (s *Schedule) Decide(op Op) Decision {
 		s.dead = true
 		s.injected++
 		return Decision{Fail: true, Mode: ModeCrash, Torn: s.crashTorn}
-	}
-	if s.noSpaceAtWrite > 0 && op == OpWrite && s.writes == s.noSpaceAtWrite {
-		s.noSpaceAtWrite = 0
-		s.injected++
-		return Decision{Fail: true, Mode: ModeNoSpace}
-	}
-	if s.failSyncAt > 0 && op == OpSync && s.syncs == s.failSyncAt {
-		s.failSyncAt = 0
-		s.injected++
-		return Decision{Fail: true, Mode: ModePermanent}
 	}
 	if s.everyK > 0 && s.everyOps[op] {
 		s.matched++

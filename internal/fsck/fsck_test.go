@@ -274,8 +274,8 @@ func TestCheckSurvivesCrashMidRepair(t *testing.T) {
 
 // checkWithController runs the repair path with crash injection; it mirrors
 // Check but opens the file through a controller.
-func checkWithController(path string, ctrl *pager.CrashController) (*Report, error) {
-	fb, err := pager.OpenFileOpts(path, pager.FileOptions{CrashControl: ctrl})
+func checkWithController(path string, ctrl *pager.DiskController) (*Report, error) {
+	fb, err := pager.OpenFileOpts(path, pager.FileOptions{DiskControl: ctrl})
 	if err != nil {
 		return nil, err
 	}

@@ -110,7 +110,7 @@ const (
 	CtrPagerCacheMisses
 	// CtrPagerIOErrors counts backend I/O failures surfaced by the pager.
 	CtrPagerIOErrors
-	// CtrPagerInjectedFailures counts failures injected by a FlakyBackend,
+	// CtrPagerInjectedFailures counts failures injected by a FaultBackend,
 	// so fault-injection runs are observable.
 	CtrPagerInjectedFailures
 	// CtrPagerWALCommits counts write-ahead log transactions committed.

@@ -1,11 +1,30 @@
 package pager
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"sync"
 
 	"boxes/internal/faults"
 )
+
+// ErrCrashed is returned by every operation of a crashed device — a
+// DiskController past a planned power cut, or a FaultBackend whose
+// schedule crashed: the simulated machine lost power, so nothing succeeds
+// until the store file is reopened by a fresh process.
+var ErrCrashed = errors.New("pager: simulated power cut")
+
+// blockFile is the raw file surface FileBackend performs I/O through.
+// *os.File implements it; a DiskController wraps it to inject faults at
+// precise write and sync points.
+type blockFile interface {
+	io.ReaderAt
+	io.WriterAt
+	Truncate(size int64) error
+	Sync() error
+	Close() error
+}
 
 // DiskFaultKind is one fault a DiskController can inject at a planned raw
 // write or sync point.
@@ -48,19 +67,23 @@ func (k DiskFaultKind) String() string {
 }
 
 // DiskController injects a pre-planned schedule of disk faults underneath
-// a FileBackend. Like CrashController it counts every raw write (WriteAt
-// and Truncate across the data file, CRC sidecar and WAL) as one global,
-// deterministically ordered write point, and every fsync as one sync
-// point; unlike CrashController, which models exactly one power cut, the
-// plan maps any subset of points to any DiskFaultKind — so one controller
-// expresses a composed history: a transient flake at write 7, ENOSPC at
-// write 19, a torn power cut at write 30, an fsync failure at sync 3.
+// a FileBackend. It counts every raw write (WriteAt and Truncate across the
+// data file, CRC sidecar and WAL) as one global, deterministically ordered
+// write point, and every fsync as one sync point. The plan maps any subset
+// of points to any DiskFaultKind, so one controller expresses a single
+// power cut (see NewCrashController) as well as a composed history: a
+// transient flake at write 7, ENOSPC at write 19, a torn power cut at
+// write 30, an fsync failure at sync 3. Once a crash fires, every file
+// operation fails with ErrCrashed, exactly as if the machine died:
+// whatever reached the file stays, nothing else does.
 //
 // The plan is fixed up front (maps of 1-based indices), which is what
 // makes a simulated history byte-identically replayable: the same plan
 // over the same workload charges the same indices in the same order.
-// Attach via FileOptions.DiskControl. With an empty plan the controller
-// only counts, which is how a harness discovers the sweep range.
+// Attach via FileOptions.DiskControl, run a workload until the fault
+// surfaces, drop the backend, and reopen the path with a plain OpenFile to
+// exercise recovery. With an empty plan the controller only counts, which
+// is how a harness discovers the sweep range.
 type DiskController struct {
 	// WriteFaults maps 1-based write-point indices to faults. Crash kinds
 	// latch the dead state; other kinds are one-shot by construction
@@ -87,6 +110,20 @@ func NewDiskController() *DiskController {
 		WriteFaults: make(map[int]DiskFaultKind),
 		SyncFaults:  make(map[int]DiskFaultKind),
 	}
+}
+
+// NewCrashController returns a controller whose plan is one power cut at
+// the crashAt-th raw write (0 = never crash, only count). With torn set,
+// the fatal write persists only the first half of its buffer — a torn
+// sector write.
+func NewCrashController(crashAt int, torn bool) *DiskController {
+	c := NewDiskController()
+	kind := DiskCrash
+	if torn {
+		kind = DiskTornCrash
+	}
+	c.WriteFaults[crashAt] = kind
+	return c
 }
 
 // Writes reports how many raw write points have been charged so far.
@@ -183,8 +220,6 @@ type diskFile struct {
 	f    blockFile
 	ctrl *DiskController
 }
-
-func (df *diskFile) rawFile() blockFile { return df.f }
 
 func (df *diskFile) ReadAt(p []byte, off int64) (int, error) {
 	if df.ctrl.dead() {

@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"boxes/internal/faults"
 )
 
 // The durability tests share one tiny scripted workload: a root block
@@ -179,7 +181,7 @@ func countScriptWrites(t *testing.T, dir string) int {
 	path := filepath.Join(dir, "count.box")
 	scriptSetup(t, path, FileOptions{})
 	ctrl := NewCrashController(0, false)
-	fb, err := OpenFileOpts(path, FileOptions{CrashControl: ctrl})
+	fb, err := OpenFileOpts(path, FileOptions{DiskControl: ctrl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +221,7 @@ func TestCrashPointSweep(t *testing.T) {
 				path := filepath.Join(t.TempDir(), "sweep.box")
 				scriptSetup(t, path, FileOptions{})
 				ctrl := NewCrashController(at, torn)
-				fb, err := OpenFileOpts(path, FileOptions{CrashControl: ctrl})
+				fb, err := OpenFileOpts(path, FileOptions{DiskControl: ctrl})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -267,7 +269,7 @@ func TestCrashDuringSetupStillOpens(t *testing.T) {
 	for at := 1; at <= 6; at++ {
 		path := filepath.Join(t.TempDir(), "young.box")
 		ctrl := NewCrashController(at, true)
-		fb, err := CreateFileOpts(path, FileOptions{BlockSize: scriptBlockSize, CrashControl: ctrl})
+		fb, err := CreateFileOpts(path, FileOptions{BlockSize: scriptBlockSize, DiskControl: ctrl})
 		if err == nil {
 			fb.Close()
 		}
@@ -289,7 +291,7 @@ func TestRecoveryReplaysCommittedTail(t *testing.T) {
 	// apply has not begun, by crashing right after the WAL fsync: frames for
 	// the op (root + data block) plus a commit record = 3 WAL writes.
 	ctrl := NewCrashController(4, false) // 3 WAL appends, then die on first apply
-	fb, err := OpenFileOpts(path, FileOptions{CrashControl: ctrl})
+	fb, err := OpenFileOpts(path, FileOptions{DiskControl: ctrl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +325,7 @@ func TestRecoveryDiscardsUncommittedTail(t *testing.T) {
 	scriptSetup(t, path, FileOptions{})
 
 	ctrl := NewCrashController(2, false) // die before the commit record
-	fb, err := OpenFileOpts(path, FileOptions{CrashControl: ctrl})
+	fb, err := OpenFileOpts(path, FileOptions{DiskControl: ctrl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,7 +485,7 @@ func TestNoWALTornWriteDetectedByChecksum(t *testing.T) {
 	scriptSetup(t, path, FileOptions{NoWAL: true})
 
 	ctrl := NewCrashController(1, true) // first in-place block write tears
-	fb, err := OpenFileOpts(path, FileOptions{CrashControl: ctrl})
+	fb, err := OpenFileOpts(path, FileOptions{DiskControl: ctrl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,9 +547,11 @@ func TestWALWriteAmplificationBounded(t *testing.T) {
 	}
 }
 
-func TestCrashBackendPowerCut(t *testing.T) {
+func TestFaultBackendPowerCut(t *testing.T) {
 	inner := NewMemBackend(64)
-	cb := NewCrashBackend(inner, 2, false)
+	sched := faults.NewSchedule(1)
+	sched.CrashAtWrite(2, false)
+	cb := NewFaultBackend(inner, sched)
 	a, err := cb.Allocate()
 	if err != nil {
 		t.Fatal(err)
@@ -564,7 +568,7 @@ func TestCrashBackendPowerCut(t *testing.T) {
 	if !errors.Is(err, ErrCrashed) {
 		t.Fatalf("second write survived: %v", err)
 	}
-	if !cb.Crashed() {
+	if !sched.Dead() {
 		t.Fatal("backend not marked crashed")
 	}
 	// Everything after the cut fails, reads included.
@@ -584,9 +588,11 @@ func TestCrashBackendPowerCut(t *testing.T) {
 	}
 }
 
-func TestCrashBackendTornWrite(t *testing.T) {
+func TestFaultBackendTornWrite(t *testing.T) {
 	inner := NewMemBackend(64)
-	cb := NewCrashBackend(inner, 2, true)
+	sched := faults.NewSchedule(1)
+	sched.CrashAtWrite(2, true)
+	cb := NewFaultBackend(inner, sched)
 	id, _ := cb.Allocate()
 	old := bytes.Repeat([]byte{0xAA}, 64)
 	if err := cb.WriteBlock(id, old); err != nil {
@@ -605,43 +611,44 @@ func TestCrashBackendTornWrite(t *testing.T) {
 	}
 }
 
-func TestFlakyBackendHeals(t *testing.T) {
+func TestFaultBackendHeals(t *testing.T) {
 	inner := NewMemBackend(64)
-	fl := NewTransientFlakyBackend(inner)
+	sched := faults.NewSchedule(1)
+	fl := NewFaultBackend(inner, sched)
 	id, err := fl.Allocate()
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 64)
-	fl.FailNext(2)
+	sched.ArmFailNext(2)
 	if err := fl.WriteBlock(id, buf); !errors.Is(err, ErrInjected) {
 		t.Fatalf("first armed op: %v", err)
 	}
 	if err := fl.ReadBlock(id, buf); !errors.Is(err, ErrInjected) {
 		t.Fatalf("second armed op: %v", err)
 	}
-	if !fl.Healed() {
+	if sched.Armed() != 0 {
 		t.Fatal("fault still armed after two failures")
 	}
 	if err := fl.WriteBlock(id, buf); err != nil {
 		t.Fatalf("op after heal: %v", err)
 	}
-	if got := fl.Injected(); got != 2 {
+	if got := sched.Injected(); got != 2 {
 		t.Fatalf("injected = %d, want 2", got)
 	}
 }
 
 func TestStoreRetriesAfterTransientFault(t *testing.T) {
 	inner := NewMemBackend(64)
-	fl := NewTransientFlakyBackend(inner)
-	st := NewStore(fl)
+	sched := faults.NewSchedule(1)
+	st := NewStore(NewFaultBackend(inner, sched))
 	id, err := st.Allocate()
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf := bytes.Repeat([]byte{7}, 64)
 
-	fl.FailNext(1)
+	sched.ArmFailNext(1)
 	st.BeginOp()
 	if err := st.Write(id, buf); err != nil {
 		t.Fatal(err) // staged, no backend I/O yet

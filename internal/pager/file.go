@@ -53,14 +53,10 @@ type FileOptions struct {
 	// without paying for a CI runner's fsync latency. Never use it when
 	// the data matters.
 	NoSync bool
-	// CrashControl injects a simulated power cut at a precise raw write
-	// point (tests only). See CrashController.
-	CrashControl *CrashController
-	// DiskControl injects a pre-planned schedule of composed disk faults
-	// (crashes, torn writes, ENOSPC, transient flakes, fsync failures) at
-	// precise raw write and sync points (tests and the simulator only).
-	// See DiskController. Composes with CrashControl: the crash
-	// controller wraps outermost, so both charge the same point order.
+	// DiskControl injects a pre-planned schedule of disk faults (crashes,
+	// torn writes, ENOSPC, transient flakes, fsync failures) at precise
+	// raw write and sync points (tests and the simulator only). See
+	// DiskController and NewCrashController.
 	DiskControl *DiskController
 }
 
@@ -223,13 +219,13 @@ func CreateFileOpts(path string, opts FileOptions) (*FileBackend, error) {
 	if !opts.NoWAL {
 		fb.flags |= flagWAL
 	}
-	f, err := openRaw(path, true, opts.CrashControl, opts.DiskControl)
+	f, err := openRaw(path, true, opts.DiskControl)
 	if err != nil {
 		return nil, err
 	}
 	fb.f = f
 	if fb.flags&flagChecksums != 0 {
-		c, err := openRaw(path+".crc", true, opts.CrashControl, opts.DiskControl)
+		c, err := openRaw(path+".crc", true, opts.DiskControl)
 		if err != nil {
 			fb.f.Close()
 			return nil, err
@@ -241,7 +237,7 @@ func CreateFileOpts(path string, opts FileOptions) (*FileBackend, error) {
 		}
 	}
 	if fb.flags&flagWAL != 0 {
-		w, err := openRaw(path+".wal", true, opts.CrashControl, opts.DiskControl)
+		w, err := openRaw(path+".wal", true, opts.DiskControl)
 		if err != nil {
 			fb.closeFiles()
 			return nil, err
@@ -272,9 +268,9 @@ func OpenFile(path string) (*FileBackend, error) {
 }
 
 // OpenFileOpts opens an existing store. Durability features come from the
-// stored header flags; only NoSync and CrashControl are honored here.
+// stored header flags; only NoSync and DiskControl are honored here.
 func OpenFileOpts(path string, opts FileOptions) (*FileBackend, error) {
-	f, err := openRaw(path, false, opts.CrashControl, opts.DiskControl)
+	f, err := openRaw(path, false, opts.DiskControl)
 	if err != nil {
 		return nil, err
 	}
@@ -290,7 +286,7 @@ func OpenFileOpts(path string, opts FileOptions) (*FileBackend, error) {
 	if hdrErr != nil {
 		// A torn header is recoverable when the WAL holds a committed
 		// transaction: its commit frame carries the full header state.
-		if rerr := fb.recoverHeaderFromWAL(path, opts.CrashControl, opts.DiskControl); rerr != nil {
+		if rerr := fb.recoverHeaderFromWAL(path, opts.DiskControl); rerr != nil {
 			fb.f.Close()
 			if errors.Is(hdrErr, ErrCorrupt) {
 				return nil, hdrErr
@@ -304,14 +300,14 @@ func OpenFileOpts(path string, opts FileOptions) (*FileBackend, error) {
 		return nil, err
 	}
 	if fb.flags&flagChecksums != 0 && fb.crc == nil {
-		if err := fb.openSidecar(opts.CrashControl, opts.DiskControl); err != nil {
+		if err := fb.openSidecar(opts.DiskControl); err != nil {
 			fb.closeFiles()
 			return nil, err
 		}
 	}
 	if fb.flags&flagWAL != 0 {
 		if fb.wal == nil {
-			if err := fb.openWAL(opts.CrashControl, opts.DiskControl); err != nil {
+			if err := fb.openWAL(opts.DiskControl); err != nil {
 				fb.closeFiles()
 				return nil, err
 			}
@@ -329,23 +325,18 @@ func OpenFileOpts(path string, opts FileOptions) (*FileBackend, error) {
 }
 
 // openRaw opens one of the store's files, optionally routed through a
-// disk and/or crash controller (the crash controller wraps outermost).
-func openRaw(path string, create bool, ctrl *CrashController, dc *DiskController) (blockFile, error) {
+// disk controller.
+func openRaw(path string, create bool, dc *DiskController) (blockFile, error) {
 	mode := os.O_RDWR
 	if create {
 		mode |= os.O_CREATE | os.O_TRUNC
 	}
-	var f blockFile
-	osf, err := os.OpenFile(path, mode, 0o644)
+	f, err := os.OpenFile(path, mode, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	f = osf
 	if dc != nil {
-		f = &diskFile{f: f, ctrl: dc}
-	}
-	if ctrl != nil {
-		f = &crashFile{f: f, ctrl: ctrl}
+		return &diskFile{f: f, ctrl: dc}, nil
 	}
 	return f, nil
 }
@@ -406,36 +397,21 @@ func (fb *FileBackend) validateGeometry() error {
 	return nil
 }
 
-// rawFiler lets injection wrappers (crashFile, diskFile) expose the file
-// they wrap, so fileSize can reach the real *os.File underneath any
-// wrapper stack.
-type rawFiler interface{ rawFile() blockFile }
-
-// fileSize probes a blockFile's length (blockFile has no Stat).
+// fileSize probes a blockFile's length (blockFile has no Stat) through
+// the *os.File underneath any disk controller.
 func fileSize(f blockFile) (int64, error) {
-	for {
-		if osf, ok := f.(*os.File); ok {
-			st, err := osf.Stat()
-			if err != nil {
-				return 0, err
-			}
-			return st.Size(), nil
-		}
-		rf, ok := f.(rawFiler)
-		if !ok {
-			break
-		}
-		f = rf.rawFile()
+	if df, ok := f.(*diskFile); ok {
+		f = df.f
 	}
-	data, err := readAll(f)
+	st, err := f.(*os.File).Stat()
 	if err != nil {
 		return 0, err
 	}
-	return int64(len(data)), nil
+	return st.Size(), nil
 }
 
 // openSidecar opens (or rebuilds) the checksum sidecar.
-func (fb *FileBackend) openSidecar(ctrl *CrashController, dc *DiskController) error {
+func (fb *FileBackend) openSidecar(dc *DiskController) error {
 	if _, err := os.Stat(fb.path + ".crc"); err != nil {
 		if !os.IsNotExist(err) {
 			return err
@@ -444,7 +420,7 @@ func (fb *FileBackend) openSidecar(ctrl *CrashController, dc *DiskController) er
 		// store). Rebuild it from the data we have: no verification is
 		// possible for the rebuilt entries, but every later write is
 		// protected again.
-		c, err := openRaw(fb.path+".crc", true, ctrl, dc)
+		c, err := openRaw(fb.path+".crc", true, dc)
 		if err != nil {
 			return err
 		}
@@ -464,7 +440,7 @@ func (fb *FileBackend) openSidecar(ctrl *CrashController, dc *DiskController) er
 		fb.recovery.SidecarRebuilt = true
 		return fb.sync(fb.crc)
 	}
-	c, err := openRaw(fb.path+".crc", false, ctrl, dc)
+	c, err := openRaw(fb.path+".crc", false, dc)
 	if err != nil {
 		return err
 	}
@@ -485,13 +461,13 @@ func (fb *FileBackend) openSidecar(ctrl *CrashController, dc *DiskController) er
 }
 
 // openWAL opens (or creates) the write-ahead log file.
-func (fb *FileBackend) openWAL(ctrl *CrashController, dc *DiskController) error {
+func (fb *FileBackend) openWAL(dc *DiskController) error {
 	_, statErr := os.Stat(fb.path + ".wal")
 	missing := os.IsNotExist(statErr)
 	if statErr != nil && !missing {
 		return statErr
 	}
-	w, err := openRaw(fb.path+".wal", missing, ctrl, dc)
+	w, err := openRaw(fb.path+".wal", missing, dc)
 	if err != nil {
 		return err
 	}
@@ -508,11 +484,11 @@ func (fb *FileBackend) openWAL(ctrl *CrashController, dc *DiskController) error 
 // recoverHeaderFromWAL rebuilds a torn header from the committed
 // transaction in the WAL, if there is one. The WAL header supplies the
 // block size the store header could not.
-func (fb *FileBackend) recoverHeaderFromWAL(path string, ctrl *CrashController, dc *DiskController) error {
+func (fb *FileBackend) recoverHeaderFromWAL(path string, dc *DiskController) error {
 	if _, err := os.Stat(path + ".wal"); err != nil {
 		return err
 	}
-	w, err := openRaw(path+".wal", false, ctrl, dc)
+	w, err := openRaw(path+".wal", false, dc)
 	if err != nil {
 		return err
 	}

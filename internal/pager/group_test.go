@@ -280,7 +280,7 @@ func TestGroupCommitCloseDrains(t *testing.T) {
 	fb.HoldGroupCommit(true)
 	for i := 1; i <= 3; i++ {
 		fb.BeginBatch()
-		if err := fb.WriteBlock(BlockID(i), fill(byte(0x10 * i))); err != nil {
+		if err := fb.WriteBlock(BlockID(i), fill(byte(0x10*i))); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := fb.CommitBatchAsync(); err != nil {
@@ -319,7 +319,7 @@ func TestGroupCommitCrashPrefix(t *testing.T) {
 		path := filepath.Join(dir, "crash.box")
 		groupSetup(t, path, txCount)
 		ctrl := NewCrashController(countdown, torn)
-		fb, err := OpenFileOpts(path, FileOptions{CrashControl: ctrl})
+		fb, err := OpenFileOpts(path, FileOptions{DiskControl: ctrl})
 		if err != nil {
 			t.Fatal(err)
 		}

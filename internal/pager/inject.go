@@ -1,20 +1,27 @@
 package pager
 
 import (
+	"errors"
 	"fmt"
 
 	"boxes/internal/faults"
 )
+
+// ErrInjected marks a block operation a FaultBackend failed on its
+// injector's say (crashes surface as ErrCrashed instead).
+var ErrInjected = errors.New("pager: injected I/O failure")
 
 // FaultBackend routes every data operation of a Backend through a
 // faults.Injector, turning the injector's decisions into the pager's
 // typed errors: transient faults wrap ErrInjected and faults.ErrTransient
 // (so a Store opened WithRetry absorbs them), permanent faults wrap
 // ErrInjected alone, and crash decisions kill the device with ErrCrashed —
-// a torn crash persisting a half-written block image first, exactly like
-// the old CrashBackend. FlakyBackend and CrashBackend are thin veneers
-// over the same machinery, so the crash matrix and the retry tests share
-// one seeded, deterministic fault engine (faults.Schedule).
+// a torn crash persisting a half-written block image first. It is the
+// block-layer fault engine: tests build a seeded faults.Schedule (a
+// success budget, an armed transient burst, a power cut at the n-th
+// write, every-k-th or random faults) and pass it in, so the retry,
+// failure and crash tests share one deterministic engine. Raw file writes
+// underneath a FileBackend are the other layer; see DiskController.
 //
 // Batch and metadata capabilities pass through: when the inner backend is
 // a TxBackend or MetaRooter, the wrapper delegates; otherwise BeginBatch /
@@ -22,7 +29,12 @@ import (
 // root is kept in memory — good enough for fault-injection tests over a
 // MemBackend, transparent over a FileBackend. Transaction plumbing
 // (commit, batch bookkeeping) is intentionally not charged: faults fire
-// at logical block operations, the same points FlakyBackend always used.
+// at logical block operations only.
+//
+// Torn crashes write through to the inner backend, so they must not be
+// combined with a WAL-enabled FileBackend, whose own batching would
+// commit the torn image atomically and mask the tear; use a
+// DiskController for intra-commit crash points instead.
 type FaultBackend struct {
 	Inner    Backend
 	Injector faults.Injector

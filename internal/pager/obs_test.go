@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"boxes/internal/faults"
 	"boxes/internal/obs"
 )
 
@@ -88,8 +89,9 @@ func TestCacheHitMissCounters(t *testing.T) {
 
 func TestInjectedFailureCounters(t *testing.T) {
 	reg := obs.NewRegistry()
-	flaky := NewFlakyBackend(NewMemBackend(512), 2)
-	s := NewStore(flaky, WithObserver(reg))
+	sched := faults.NewSchedule(1)
+	sched.SetBudget(2)
+	s := NewStore(NewFaultBackend(NewMemBackend(512), sched), WithObserver(reg))
 	id, err := s.Allocate() // op 1
 	if err != nil {
 		t.Fatal(err)
@@ -106,13 +108,13 @@ func TestInjectedFailureCounters(t *testing.T) {
 	if got := reg.Counter(obs.CtrPagerIOErrors); got != 1 {
 		t.Errorf("pager_io_errors_total = %d, want 1", got)
 	}
-	if flaky.Injected() != 1 {
-		t.Errorf("flaky.Injected() = %d, want 1", flaky.Injected())
+	if sched.Injected() != 1 {
+		t.Errorf("sched.Injected() = %d, want 1", sched.Injected())
 	}
 }
 
 // nopBackend is an inherently concurrency-safe Backend stub, so the race
-// detector only sees FlakyBackend's own bookkeeping.
+// detector only sees the fault schedule's own bookkeeping.
 type nopBackend struct{ size int }
 
 func (nopBackend) Allocate() (BlockID, error)      { return 1, nil }
@@ -125,16 +127,18 @@ func (b nopBackend) BlockSize() int  { return b.size }
 func (nopBackend) NumBlocks() uint64 { return 1 }
 func (nopBackend) Close() error      { return nil }
 
-// TestFlakyBackendConcurrentCharge exercises the mutex-guarded counters
+// TestFaultBackendConcurrentCharge exercises the mutex-guarded counters
 // from many goroutines; run under -race this is the concurrency-safety
 // regression test.
-func TestFlakyBackendConcurrentCharge(t *testing.T) {
+func TestFaultBackendConcurrentCharge(t *testing.T) {
 	const (
 		workers = 8
 		perG    = 50
 		budget  = 100
 	)
-	flaky := NewFlakyBackend(nopBackend{size: 512}, budget)
+	sched := faults.NewSchedule(1)
+	sched.SetBudget(budget)
+	fb := NewFaultBackend(nopBackend{size: 512}, sched)
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
 		wg.Add(1)
@@ -143,19 +147,19 @@ func TestFlakyBackendConcurrentCharge(t *testing.T) {
 			buf := make([]byte, 512)
 			for i := 0; i < perG; i++ {
 				if i%2 == 0 {
-					_ = flaky.WriteBlock(1, buf)
+					_ = fb.WriteBlock(1, buf)
 				} else {
-					_ = flaky.ReadBlock(1, buf)
+					_ = fb.ReadBlock(1, buf)
 				}
 			}
 		}()
 	}
 	wg.Wait()
 	wantOps := workers * perG
-	if flaky.Ops() != wantOps {
-		t.Errorf("ops = %d, want %d (lost updates)", flaky.Ops(), wantOps)
+	if sched.Ops() != wantOps {
+		t.Errorf("ops = %d, want %d (lost updates)", sched.Ops(), wantOps)
 	}
-	if want := wantOps - budget; flaky.Injected() != want {
-		t.Errorf("injected = %d, want %d", flaky.Injected(), want)
+	if want := wantOps - budget; sched.Injected() != want {
+		t.Errorf("injected = %d, want %d", sched.Injected(), want)
 	}
 }

@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"boxes/internal/difftest"
@@ -13,8 +16,13 @@ import (
 var smokeSeeds = []int64{1, 2, 3}
 
 // TestSimSmoke is the required CI gate: every scheme, the balanced and
-// the delete-heavy mixes, fixed seeds, faults on.
+// the delete-heavy mixes, fixed seeds, faults on. Each history's
+// ExecDigest must also match testdata/smoke_digests.txt ("scheme mix seed
+// digest" lines), which pins the fault-injection and recovery behaviour
+// byte for byte. Re-pin a digest only for a deliberate behaviour change,
+// and record why.
 func TestSimSmoke(t *testing.T) {
+	pinned := readSmokeDigests(t)
 	for _, dcfg := range difftest.Configs() {
 		for _, mix := range []string{MixMixed, MixChurn} {
 			for _, seed := range smokeSeeds {
@@ -26,9 +34,28 @@ func TestSimSmoke(t *testing.T) {
 				if rep.Failure != nil {
 					t.Errorf("%s/%s seed %d: %v", dcfg.Name, mix, seed, rep.Failure)
 				}
+				key := fmt.Sprintf("%s %s %d", dcfg.Name, mix, seed)
+				if want := pinned[key]; rep.ExecDigest != want {
+					t.Errorf("%s: exec digest %s, pinned %q", key, rep.ExecDigest, want)
+				}
 			}
 		}
 	}
+}
+
+// readSmokeDigests loads the pinned smoke digests, keyed "scheme mix seed".
+func readSmokeDigests(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile("testdata/smoke_digests.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := make(map[string]string)
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		i := strings.LastIndexByte(line, ' ')
+		pinned[line[:i]] = line[i+1:]
+	}
+	return pinned
 }
 
 // TestSimAdversarialMixes runs the lower-bound-style insertion patterns:
