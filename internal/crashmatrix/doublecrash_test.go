@@ -19,6 +19,18 @@ func removeStore(path string) {
 	}
 }
 
+// goldenRedoCuts pins, per scheme, the total number of redo write points
+// TestDoubleCrashMatrix cuts (full and torn) over all first-crash points:
+// the write sequence of the WAL redo at open. Re-pin only for a deliberate
+// protocol change, and record why.
+var goldenRedoCuts = map[string]int{
+	"wbox":    804,
+	"wbox-o":  1698,
+	"bbox":    804,
+	"bbox-o":  804,
+	"naive-8": 456,
+}
+
 // TestDoubleCrashMatrix cuts power a second time during recovery itself:
 // for every raw write point of the scripted workload, crash there, then
 // sweep every raw write point of the WAL redo that the reopen performs —
@@ -101,6 +113,9 @@ func TestDoubleCrashMatrix(t *testing.T) {
 			}
 			if redoCuts == 0 {
 				t.Fatal("no redo write point was ever cut; double-crash sweep is vacuous")
+			}
+			if want := goldenRedoCuts[cfg.name]; redoCuts != want {
+				t.Errorf("%s: double-crash sweep cut %d redo write points, pinned %d", cfg.name, redoCuts, want)
 			}
 		})
 	}

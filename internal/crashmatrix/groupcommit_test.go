@@ -51,10 +51,22 @@ func batchScriptOp(w *world, j int) error {
 	return nil
 }
 
+// goldenGroupWritePoints pins, per scheme, the raw write points
+// goldenGroupRun counts: the sweep range of the group-commit crash matrix
+// and the write sequence of the committer's log and apply steps. Re-pin
+// only for a deliberate protocol change, and record why.
+var goldenGroupWritePoints = map[string]int{
+	"wbox":    48,
+	"wbox-o":  75,
+	"bbox":    48,
+	"bbox-o":  48,
+	"naive-8": 36,
+}
+
 // goldenGroupRun replays the batch script without crashing, counting raw
 // write points and snapshotting the oracle after every batch. snapshots[k]
 // is the oracle LID order after k complete batches.
-func goldenGroupRun(t *testing.T, path string, baseLIDs []order.LID, baseElems []order.ElemLIDs) (snapshots [][]order.LID, writePoints int) {
+func goldenGroupRun(t *testing.T, path string, cfg schemeConfig, baseLIDs []order.LID, baseElems []order.ElemLIDs) (snapshots [][]order.LID, writePoints int) {
 	t.Helper()
 	ctrl := pager.NewCrashController(0, false)
 	fb, err := pager.OpenFileOpts(path, pager.FileOptions{NoSync: true, DiskControl: ctrl})
@@ -74,6 +86,9 @@ func goldenGroupRun(t *testing.T, path string, baseLIDs []order.LID, baseElems [
 		snapshots = append(snapshots, append([]order.LID(nil), w.oracle.LIDs()...))
 	}
 	writePoints = ctrl.Writes()
+	if want := goldenGroupWritePoints[cfg.name]; writePoints != want {
+		t.Errorf("%s: golden group run charged %d raw write points, pinned %d", cfg.name, writePoints, want)
+	}
 	if err := fb.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +117,7 @@ func TestCrashMatrixGroupCommit(t *testing.T) {
 
 			golden := filepath.Join(dir, "golden.box")
 			copyStore(t, base, golden)
-			snapshots, writePoints := goldenGroupRun(t, golden, baseLIDs, baseElems)
+			snapshots, writePoints := goldenGroupRun(t, golden, cfg, baseLIDs, baseElems)
 			if writePoints == 0 {
 				t.Fatal("batch script performed no writes; sweep is vacuous")
 			}

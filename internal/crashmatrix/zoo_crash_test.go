@@ -141,9 +141,25 @@ func zooSources() []zooSource {
 	}
 }
 
+// goldenZooWritePoints pins, per scheme and zoo source, the raw write
+// points zooGoldenRun counts (the sweep range of TestZooCrashSweep).
+// Re-pin only for a deliberate protocol change, and record why.
+var goldenZooWritePoints = map[string]int{
+	"wbox/churn":     72,
+	"wbox/bisect":    72,
+	"wbox-o/churn":   96,
+	"wbox-o/bisect":  96,
+	"bbox/churn":     72,
+	"bbox/bisect":    72,
+	"bbox-o/churn":   72,
+	"bbox-o/bisect":  72,
+	"naive-8/churn":  54,
+	"naive-8/bisect": 54,
+}
+
 // zooGoldenRun replays the full zoo workload without crashing, counting
 // raw write points and snapshotting the oracle after every op.
-func zooGoldenRun(t *testing.T, path string, src workload.Source, baseLIDs []order.LID, baseElems []order.ElemLIDs) (snapshots [][]order.LID, writePoints int) {
+func zooGoldenRun(t *testing.T, path, key string, src workload.Source, baseLIDs []order.LID, baseElems []order.ElemLIDs) (snapshots [][]order.LID, writePoints int) {
 	t.Helper()
 	ctrl := pager.NewCrashController(0, false)
 	fb, err := pager.OpenFileOpts(path, pager.FileOptions{NoSync: true, DiskControl: ctrl})
@@ -170,6 +186,9 @@ func zooGoldenRun(t *testing.T, path string, src workload.Source, baseLIDs []ord
 		snapshots = append(snapshots, append([]order.LID(nil), z.w.oracle.LIDs()...))
 	}
 	writePoints = ctrl.Writes()
+	if want := goldenZooWritePoints[key]; writePoints != want {
+		t.Errorf("%s: golden zoo run charged %d raw write points, pinned %d", key, writePoints, want)
+	}
 	if err := fb.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +214,7 @@ func TestZooCrashSweep(t *testing.T) {
 
 				golden := filepath.Join(dir, "golden.box")
 				copyStore(t, base, golden)
-				snapshots, writePoints := zooGoldenRun(t, golden, zs.mk(), baseLIDs, baseElems)
+				snapshots, writePoints := zooGoldenRun(t, golden, cfg.name+"/"+zs.name, zs.mk(), baseLIDs, baseElems)
 				if writePoints == 0 {
 					t.Fatal("zoo workload performed no writes; sweep is vacuous")
 				}

@@ -400,3 +400,73 @@ func TestGroupCommitCrashPrefix(t *testing.T) {
 		}
 	}
 }
+
+// TestGroupCommitWriteSequence pins the raw write sequence of one held
+// group whose transactions overwrite each other's blocks: every frame and
+// commit record is logged, but the apply writes only the newest image of
+// each block (one data write and one CRC entry per distinct block).
+func TestGroupCommitWriteSequence(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "seq.box")
+	groupSetup(t, path, 3)
+	dc := NewDiskController()
+	fb, err := OpenFileOpts(path, FileOptions{NoSync: true, DiskControl: dc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fb.StartGroupCommit(Durability{Every: 4}); err != nil {
+		t.Fatal(err)
+	}
+	fb.HoldGroupCommit(true)
+	txns := [][]BlockID{{1, 2}, {2}, {1, 3}, {2}}
+	tickets := make([]*CommitTicket, 0, len(txns))
+	for i, ids := range txns {
+		fb.BeginBatch()
+		for _, id := range ids {
+			if err := fb.WriteBlock(id, fill(byte(0x10*(i+1))+byte(id))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tk, err := fb.CommitBatchAsync()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tickets = append(tickets, tk)
+	}
+	before, stats0 := dc.Writes(), fb.WALStats()
+	fb.HoldGroupCommit(false)
+	for _, tk := range tickets {
+		if err := tk.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// 6 frames + 4 commit records, then 3 data writes + 3 CRC entries, the
+	// header and the WAL truncate.
+	const wantWrites = 18
+	if got := dc.Writes() - before; got != wantWrites {
+		t.Errorf("group flush charged %d raw write points, pinned %d", got, wantWrites)
+	}
+	st := fb.WALStats()
+	if got := st.DataBytes - stats0.DataBytes; got != 3*scriptBlockSize+fileHeaderSize {
+		t.Errorf("group apply wrote %d data bytes, want %d", got, 3*scriptBlockSize+fileHeaderSize)
+	}
+	if got := st.GroupCommits - stats0.GroupCommits; got != 1 {
+		t.Errorf("flushed %d groups, want 1", got)
+	}
+	if err := fb.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	buf := make([]byte, scriptBlockSize)
+	for id, want := range map[BlockID][]byte{1: fill(0x31), 2: fill(0x42), 3: fill(0x33)} {
+		if err := rec.ReadBlock(id, buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, want) {
+			t.Errorf("block %d holds %#x, want the newest image %#x", id, buf[0], want[0])
+		}
+	}
+}
