@@ -62,7 +62,8 @@ type walHeaderState struct {
 	flags     uint32
 }
 
-// walTxn is one committed transaction recovered from the log.
+// walTxn is one transaction: staged for the log step, or recovered from
+// the log at open.
 type walTxn struct {
 	images []walImage
 	hdr    walHeaderState
