@@ -116,10 +116,12 @@ func main() {
 		defer ln.Close()
 		fmt.Printf("metrics : http://%s/metrics (pprof under /debug/pprof/)\n", ln.Addr())
 	}
-	if *trace != "" {
-		opts.Metrics.Tracer().Start(obs.TraceOptions{SlowOp: *slowOp})
-	}
+	// core.Open starts the tracer when -slow-op is set, with the threshold
+	// and the slog logger; -trace alone starts it here, exactly once.
 	opts.SlowOpThreshold = *slowOp
+	if *trace != "" && *slowOp == 0 {
+		opts.Metrics.Tracer().Start(obs.TraceOptions{})
+	}
 	st, err := core.Open(opts)
 	if err != nil {
 		fatal(err)

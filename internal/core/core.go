@@ -171,12 +171,13 @@ type Store struct {
 	// Phase-attribution state, guarded by the exclusive writer section:
 	// extraNs accumulates durable()'s instrumented sections (meta_persist,
 	// fsync_wait) so end() can subtract them from the residual structure
-	// phase; pendingLockWait is the write-lock acquisition wait SyncStore
-	// parked for the next begin() to attribute; lastOp is the most recent
-	// exclusive op, for attributing deferred ticket waits after end().
-	extraNs         int64
-	pendingLockWait int64
-	lastOp          obs.Op
+	// phase; lockWait is the write-lock acquisition wait SyncStore parked
+	// (lockWaitParked) for the next begin() to attribute; lastOp is the most
+	// recent exclusive op, for attributing deferred ticket waits after end().
+	extraNs        int64
+	lockWait       time.Duration
+	lockWaitParked bool
+	lastOp         obs.Op
 
 	// deg is non-nil in read-only degraded mode (see resilience.go).
 	deg atomic.Pointer[degradedInfo]
@@ -387,9 +388,9 @@ func (s *Store) begin(op obs.Op) opMeasure {
 	m := opMeasure{op: op, excl: op != obs.OpLookup || !s.store.Shared()}
 	if m.excl {
 		s.reg.SetWriterCell(s.schemeIdx, op)
-		if w := s.pendingLockWait; w != 0 {
-			s.pendingLockWait = 0
-			s.reg.ObservePhase(op, obs.PhaseLockWaitWrite, time.Duration(w))
+		if s.lockWaitParked {
+			s.lockWaitParked = false
+			s.reg.ObservePhase(op, obs.PhaseLockWaitWrite, s.lockWait)
 		}
 	}
 	if tr := s.reg.Tracer(); tr.Enabled() {

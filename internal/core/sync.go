@@ -25,8 +25,8 @@ import (
 // commit ticket AFTER releasing the write lock, so concurrently queued
 // transactions coalesce into a single WAL fsync while the next writer
 // proceeds. A mutator returns nil only once its transaction is durable.
-// Lock acquisition waits are recorded in the registry's
-// boxes_lock_wait_seconds histograms.
+// Every lock acquisition wait is recorded once, as a lock_wait_read or
+// lock_wait_write phase of boxes_phase_duration_seconds.
 type SyncStore struct {
 	mu sync.RWMutex
 	st *Store
@@ -45,30 +45,32 @@ func NewSyncStore(st *Store) *SyncStore {
 // operations while using it.
 func (s *SyncStore) Unwrap() *Store { return s.st }
 
-// rlock acquires the read lock, recording the wait both in the legacy
-// lock-wait histogram and as the lookup row's lock_wait_read phase.
+// rlock acquires the read lock, recording the wait as the lookup row's
+// lock_wait_read phase.
 func (s *SyncStore) rlock() {
 	start := time.Now()
 	s.mu.RLock()
-	d := time.Since(start)
-	s.st.reg.ObserveLockWait(obs.LockRead, d)
-	s.st.reg.ObservePhase(obs.OpLookup, obs.PhaseLockWaitRead, d)
+	s.st.reg.ObservePhase(obs.OpLookup, obs.PhaseLockWaitRead, time.Since(start))
 }
 
 // write runs fn under the write lock with the pager's writer bracket, then
 // waits for the commit ticket outside the lock. The lock wait is parked in
 // the store so the next begin() attributes it to the op that paid for it
-// (the op enum is not known until fn dispatches); the deferred ticket wait
-// is attributed to the op recorded by the last end() under this lock.
+// (the op enum is not known until fn dispatches); a wait no begin() took
+// (Save, Health, a Load rejected before it began) is recorded on the
+// "store" row before the lock is released. The deferred ticket wait is
+// attributed to the op recorded by the last end() under this lock.
 func (s *SyncStore) write(fn func() error) error {
 	start := time.Now()
 	s.mu.Lock()
-	wait := time.Since(start)
-	s.st.reg.ObserveLockWait(obs.LockWrite, wait)
-	s.st.pendingLockWait = int64(wait)
+	s.st.lockWait, s.st.lockWaitParked = time.Since(start), true
 	s.st.store.BeginWrite()
 	err := fn()
 	s.st.store.EndWrite()
+	if s.st.lockWaitParked {
+		s.st.lockWaitParked = false
+		s.st.reg.ObservePhaseStore(obs.PhaseLockWaitWrite, s.st.lockWait)
+	}
 	ticket := s.st.TakeTicket()
 	op := s.st.lastOp
 	s.mu.Unlock()

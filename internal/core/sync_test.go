@@ -6,7 +6,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"boxes/internal/obs"
 	"boxes/internal/order"
 	"boxes/internal/pager"
 	"boxes/internal/xmlgen"
@@ -216,5 +218,87 @@ func TestSyncStoreConcurrentBatchReaders(t *testing.T) {
 	}
 	if err := re.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSyncStoreWriteLockWaitsRecordedOnce checks that every write-lock
+// acquisition through SyncStore yields exactly one lock_wait_write
+// observation: on the operation's row when the call runs one, on the
+// "store" row when it runs none (Save, Health, a Load rejected before it
+// began), including a Health scrape parked behind a held writer.
+func TestSyncStoreWriteLockWaitsRecordedOnce(t *testing.T) {
+	base, err := Open(Options{Scheme: SchemeBBox, BlockSize: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := NewSyncStore(base)
+	// waits returns the lock_wait_write observation count over all rows,
+	// and the count and summed nanoseconds of the "store" row.
+	waits := func() (total, store, storeNs uint64) {
+		for row, phases := range st.Metrics().Phases {
+			h := phases[obs.PhaseLockWaitWrite.String()]
+			total += h.Total()
+			if row == "store" {
+				store, storeNs = h.Total(), h.Sum
+			}
+		}
+		return total, store, storeNs
+	}
+	var doc *Document
+	calls := []struct {
+		name    string
+		onStore bool
+		call    func() error
+	}{
+		{"load", false, func() (err error) { doc, err = st.Load(xmlgen.TwoLevel(20)); return err }},
+		{"insert", false, func() error { _, err := st.InsertElementBefore(doc.Elems[3].Start); return err }},
+		{"batch", false, func() error {
+			_, err := st.ApplyBatch([]Op{{Kind: OpInsertBefore, LID: doc.Elems[5].End}})
+			return err
+		}},
+		{"delete", false, func() error { return st.DeleteElement(doc.Elems[7]) }},
+		{"check", false, st.CheckInvariants},
+		{"save", true, st.Save},
+		{"health", true, func() error { st.Health(); return nil }},
+		{"rejected load", true, func() error {
+			if _, err := st.Load(&xmlgen.Tree{}); err == nil {
+				return fmt.Errorf("empty tree loaded")
+			}
+			return nil
+		}},
+	}
+	for _, c := range calls {
+		t0, s0, _ := waits()
+		if err := c.call(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		t1, s1, _ := waits()
+		if got := t1 - t0; got != 1 {
+			t.Errorf("%s: %d lock_wait_write observations, want 1", c.name, got)
+		}
+		want := uint64(0)
+		if c.onStore {
+			want = 1
+		}
+		if got := s1 - s0; got != want {
+			t.Errorf("%s: %d observations on the store row, want %d", c.name, got, want)
+		}
+	}
+
+	// A Health scrape behind a held writer records its whole wait once.
+	_, s0, ns0 := waits()
+	const hold = 20 * time.Millisecond
+	st.mu.Lock()
+	done := make(chan struct{})
+	go func() { st.Health(); close(done) }()
+	time.Sleep(hold)
+	st.mu.Unlock()
+	<-done
+	_, s1, ns1 := waits()
+	if got := s1 - s0; got != 1 {
+		t.Fatalf("held-writer Health: %d store-row observations, want 1", got)
+	}
+	if got := time.Duration(ns1 - ns0); got < hold {
+		t.Errorf("held-writer Health: recorded wait %v, want at least %v", got, hold)
 	}
 }

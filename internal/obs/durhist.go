@@ -2,12 +2,14 @@ package obs
 
 import "time"
 
-// DurHist is a standalone fixed-bucket duration histogram for layers whose
-// rows live outside the Registry's op/phase enums — the server's per-RPC
-// phase latencies, for example. It shares the exponential nanosecond
-// bounds (1.024µs .. ~1.07s) and lock-free atomic buckets of the per-op
-// latency histograms, so its snapshots interoperate with HistSnapshot's
-// Quantile/Sub machinery. The zero value is NOT usable; call NewDurHist.
+// DurHist is a standalone fixed-bucket duration histogram for latencies
+// measured where no Registry exists: its one caller is the serve load
+// generator's client-side round-trip latency (internal/serve/loadgen.go).
+// Server-side latencies are phase rows of a Registry instead. It shares
+// the exponential nanosecond bounds (1.024µs .. ~1.07s) and lock-free
+// atomic buckets of the per-op latency histograms, so its snapshots
+// interoperate with HistSnapshot's Quantile/Sub machinery. The zero value
+// is NOT usable; call NewDurHist.
 type DurHist struct {
 	h hist
 }

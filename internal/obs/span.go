@@ -5,10 +5,12 @@
 //   - Phase histograms are ALWAYS ON: every instrumented section (a backend
 //     block read, a WAL fsync, a commit-ticket wait, ...) adds its duration
 //     to a fixed-bucket histogram keyed by (row, phase), where the row is
-//     the operation kind the section ran under — or one of two auxiliary
-//     rows ("wal" for the committer goroutine, "scrub" for the scrubber) for
-//     work that belongs to no single operation. The cost is one time.Now
-//     pair plus an atomic histogram add per section.
+//     the operation kind the section ran under — or an auxiliary row for
+//     work that belongs to no single operation ("wal" for the committer
+//     goroutine, "scrub" for the scrubber, "store" for SyncStore calls
+//     outside any operation, one "rpc_<opcode>" row per served wire
+//     opcode). The cost is one time.Now pair plus an atomic histogram add
+//     per section.
 //
 //   - Span RECORDING is opt-in (Tracer.Start, boxbench/boxload -trace, or a
 //     slow-op threshold): sections additionally push SpanRecords — with
@@ -83,6 +85,14 @@ const (
 	PhaseApply
 	// PhaseScrubBatch is one scrubber verification batch ("scrub" row).
 	PhaseScrubBatch
+	// PhaseRPCQueue is a served write's wait in the server's admission
+	// queue until the batcher picked it up ("rpc_*" rows).
+	PhaseRPCQueue
+	// PhaseRPCApply is a served write's ApplyBatch, including the
+	// group-commit durability wait the ack cannot precede ("rpc_*" rows).
+	PhaseRPCApply
+	// PhaseRPCRespond is the response frame write ("rpc_*" rows).
+	PhaseRPCRespond
 	numPhases
 )
 
@@ -101,6 +111,9 @@ var phaseNames = [numPhases]string{
 	PhaseFsync:         "fsync",
 	PhaseApply:         "apply",
 	PhaseScrubBatch:    "scrub_batch",
+	PhaseRPCQueue:      "rpc_queue",
+	PhaseRPCApply:      "rpc_apply",
+	PhaseRPCRespond:    "rpc_respond",
 }
 
 func (p Phase) String() string {
@@ -119,13 +132,25 @@ func Phases() []Phase {
 	return out
 }
 
-// Phase rows: one per operation kind, plus auxiliary rows for goroutines
-// whose work belongs to no single operation.
+// Phase rows: one per operation kind, plus auxiliary rows for work that
+// belongs to no single operation.
 const (
-	rowWAL       = int(numOps)     // the group-commit committer
-	rowScrub     = int(numOps) + 1 // the background scrubber
-	numPhaseRows = int(numOps) + 2
+	rowWAL   = int(numOps)     // the group-commit committer
+	rowScrub = int(numOps) + 1 // the background scrubber
+	rowStore = int(numOps) + 2 // SyncStore calls outside any operation
+	rowRPC   = int(numOps) + 3 // the first served-protocol row
+
+	numPhaseRows = rowRPC + len(rpcRowNames)
 )
+
+// rpcRowNames names the served-protocol rows, indexed by wire opcode - 1
+// (internal/serve's OpName with an "rpc_" prefix and '_' for '-'). They
+// are distinct from the operation rows, so served requests never enter an
+// operation's coverage sum.
+var rpcRowNames = [...]string{
+	"rpc_insert", "rpc_insert_first", "rpc_delete_element", "rpc_delete_subtree",
+	"rpc_lookup", "rpc_compare", "rpc_batch",
+}
 
 // phaseRowName renders a phase row for exposition ("insert", "wal", ...).
 func phaseRowName(row int) string {
@@ -136,42 +161,66 @@ func phaseRowName(row int) string {
 		return "wal"
 	case row == rowScrub:
 		return "scrub"
+	case row == rowStore:
+		return "store"
+	case row < numPhaseRows:
+		return rpcRowNames[row-rowRPC]
 	default:
 		return "unknown"
 	}
 }
 
-// ObservePhase records a phase duration against an operation row.
-func (r *Registry) ObservePhase(op Op, ph Phase, d time.Duration) {
-	if r == nil || op >= numOps || ph >= numPhases {
-		return
-	}
-	if d < 0 {
-		d = 0
-	}
-	r.phases[op][ph].observe(uint64(d))
-}
-
-// ObservePhaseWAL records a committer-side phase on the "wal" row.
-func (r *Registry) ObservePhaseWAL(ph Phase, d time.Duration) {
+// observeRow records a phase duration on one row. Negative durations
+// clamp to zero.
+func (r *Registry) observeRow(row int, ph Phase, d time.Duration) {
 	if r == nil || ph >= numPhases {
 		return
 	}
 	if d < 0 {
 		d = 0
 	}
-	r.phases[rowWAL][ph].observe(uint64(d))
+	r.phases[row][ph].observe(uint64(d))
+}
+
+// ObservePhase records a phase duration against an operation row.
+func (r *Registry) ObservePhase(op Op, ph Phase, d time.Duration) {
+	if op < numOps {
+		r.observeRow(int(op), ph, d)
+	}
+}
+
+// ObservePhaseWAL records a committer-side phase on the "wal" row.
+func (r *Registry) ObservePhaseWAL(ph Phase, d time.Duration) {
+	r.observeRow(rowWAL, ph, d)
 }
 
 // ObservePhaseScrub records one scrubber batch on the "scrub" row.
 func (r *Registry) ObservePhaseScrub(d time.Duration) {
-	if r == nil {
-		return
+	r.observeRow(rowScrub, PhaseScrubBatch, d)
+}
+
+// ObservePhaseStore records a phase of a SyncStore call that ran no
+// operation (Save, Health, a Load rejected before it began) on the
+// "store" row.
+func (r *Registry) ObservePhaseStore(ph Phase, d time.Duration) {
+	r.observeRow(rowStore, ph, d)
+}
+
+// ObservePhaseRPC records a server-side request phase on the row of wire
+// opcode op (1-based; other values are ignored).
+func (r *Registry) ObservePhaseRPC(op uint8, ph Phase, d time.Duration) {
+	if op >= 1 && int(op) <= len(rpcRowNames) {
+		r.observeRow(rowRPC+int(op)-1, ph, d)
 	}
-	if d < 0 {
-		d = 0
+}
+
+// PhaseRPC snapshots one phase histogram of wire opcode op's row (empty
+// for a nil registry or an unknown opcode).
+func (r *Registry) PhaseRPC(op uint8, ph Phase) HistSnapshot {
+	if r == nil || op < 1 || int(op) > len(rpcRowNames) || ph >= numPhases {
+		return HistSnapshot{}
 	}
-	r.phases[rowScrub][PhaseScrubBatch].observe(uint64(d))
+	return snapHist(&r.phases[rowRPC+int(op)-1][ph])
 }
 
 // ObservePhaseAuto records a phase against the current operation: the

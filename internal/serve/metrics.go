@@ -1,42 +1,24 @@
 package serve
 
 import (
-	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"boxes/internal/obs"
 )
 
-// rpcPhase partitions one request's server-side wall time. queue is the
-// wait in the admission queue before the batcher picked the op up, apply
-// is ApplyBatch including the group-commit durability wait (the ack
-// cannot precede it), respond is the response frame write.
-type rpcPhase int
+// rpcPhases partition one request's server-side wall time, in the order
+// PhaseSnapshot returns them. rpc_queue is the wait in the admission queue
+// before the batcher picked the op up, rpc_apply is ApplyBatch including
+// the group-commit durability wait (the ack cannot precede it), and
+// rpc_respond is the response frame write.
+var rpcPhases = [3]obs.Phase{obs.PhaseRPCQueue, obs.PhaseRPCApply, obs.PhaseRPCRespond}
 
-const (
-	phaseQueue rpcPhase = iota
-	phaseApply
-	phaseRespond
-	numRPCPhases
-)
-
-func (p rpcPhase) String() string {
-	switch p {
-	case phaseQueue:
-		return "queue"
-	case phaseApply:
-		return "apply"
-	case phaseRespond:
-		return "respond"
-	}
-	return "unknown"
-}
-
-// Metrics aggregates the server's robustness counters and per-RPC phase
-// latency histograms. All methods are safe for concurrent use and
-// nil-receiver-safe (an unmetered server costs only nil checks).
+// Metrics aggregates the server's robustness counters. Its per-RPC phase
+// latencies are the "rpc_<opcode>" rows of the store registry's
+// boxes_phase_duration_seconds family, bound by NewServer. All methods are
+// safe for concurrent use and nil-receiver-safe (an unmetered server costs
+// only nil checks).
 type Metrics struct {
 	ConnsAccepted atomic.Uint64
 	ConnsActive   atomic.Int64
@@ -48,50 +30,37 @@ type Metrics struct {
 	Sessions      atomic.Int64
 	DrainNanos    atomic.Int64 // duration of the last graceful drain
 
-	queueDepth func() int // live admission-queue depth, set by the server
-
-	mu     sync.Mutex
-	phases map[string]*[numRPCPhases]*obs.DurHist // per-opcode phase rows
+	queueDepth func() int                   // live admission-queue depth, set by the server
+	reg        atomic.Pointer[obs.Registry] // the store registry holding the phase rows
 }
 
 // NewMetrics returns an empty metrics bundle.
-func NewMetrics() *Metrics {
-	return &Metrics{phases: make(map[string]*[numRPCPhases]*obs.DurHist)}
-}
+func NewMetrics() *Metrics { return &Metrics{} }
 
-// observePhase records d under the op's phase histogram row.
-func (m *Metrics) observePhase(op string, p rpcPhase, d time.Duration) {
+// observePhase records d under one phase of wire opcode op's row.
+func (m *Metrics) observePhase(op uint8, ph obs.Phase, d time.Duration) {
 	if m == nil {
 		return
 	}
-	m.mu.Lock()
-	row := m.phases[op]
-	if row == nil {
-		row = new([numRPCPhases]*obs.DurHist)
-		for i := range row {
-			row[i] = obs.NewDurHist()
-		}
-		m.phases[op] = row
-	}
-	m.mu.Unlock()
-	row[p].Observe(d)
+	m.reg.Load().ObservePhaseRPC(op, ph, d)
 }
 
-// PhaseSnapshot returns the phase histogram for one opcode row, or zero
-// snapshots when the row has no observations yet.
-func (m *Metrics) PhaseSnapshot(op string) [numRPCPhases]obs.HistSnapshot {
-	var out [numRPCPhases]obs.HistSnapshot
+// PhaseSnapshot returns one opcode's (by OpName) rpc_queue, rpc_apply and
+// rpc_respond histograms, or zero snapshots before NewServer bound the
+// registry or for an unknown name.
+func (m *Metrics) PhaseSnapshot(op string) [3]obs.HistSnapshot {
+	var out [3]obs.HistSnapshot
 	if m == nil {
 		return out
 	}
-	m.mu.Lock()
-	row := m.phases[op]
-	m.mu.Unlock()
-	if row == nil {
-		return out
-	}
-	for i := range row {
-		out[i] = row[i].Snapshot()
+	reg := m.reg.Load()
+	for code := OpInsert; code <= OpBatch; code++ {
+		if OpName(code) != op {
+			continue
+		}
+		for i, ph := range rpcPhases {
+			out[i] = reg.PhaseRPC(code, ph)
+		}
 	}
 	return out
 }
@@ -117,27 +86,6 @@ func (m *Metrics) CollectGauges() []obs.GaugeValue {
 	}
 	if d := m.DrainNanos.Load(); d > 0 {
 		gs = append(gs, obs.G("serve_drain_seconds", "Duration of the last graceful drain.", time.Duration(d).Seconds()))
-	}
-	m.mu.Lock()
-	ops := make([]string, 0, len(m.phases))
-	for op := range m.phases {
-		ops = append(ops, op)
-	}
-	m.mu.Unlock()
-	for _, op := range ops {
-		snap := m.PhaseSnapshot(op)
-		for p, h := range snap {
-			if h.Total() == 0 {
-				continue
-			}
-			// Op names use '-' (delete-element); metric names must not.
-			name := "serve_rpc_" + strings.ReplaceAll(op, "-", "_") + "_" + rpcPhase(p).String()
-			gs = append(gs,
-				obs.G(name+"_count", "Requests observed in this RPC phase row.", float64(h.Total())),
-				obs.G(name+"_p50_seconds", "Median latency of this RPC phase.", time.Duration(h.Quantile(0.50)).Seconds()),
-				obs.G(name+"_p99_seconds", "99th percentile latency of this RPC phase.", time.Duration(h.Quantile(0.99)).Seconds()),
-			)
-		}
 	}
 	return gs
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"boxes/internal/core"
+	"boxes/internal/obs"
 	"boxes/internal/order"
 )
 
@@ -32,8 +33,9 @@ type Config struct {
 	// short-lived clients cannot grow server state without limit.
 	// Default 4096.
 	MaxSessions int
-	// Metrics receives the server's counters and phase histograms
-	// (optional; nil gets a private bundle, so metering is always safe).
+	// Metrics receives the server's counters (optional; nil gets a
+	// private bundle, so metering is always safe). NewServer binds it to
+	// the store's registry, which holds the per-opcode phase rows.
 	Metrics *Metrics
 	// WrapConn, when set, wraps every accepted connection — the hook the
 	// fault injector uses (see FaultConn). Applied after accept, before
@@ -98,7 +100,7 @@ type writeReq struct {
 	ops      []core.Op
 	ctx      context.Context
 	enqueued time.Time
-	opName   string
+	op       uint8 // wire opcode, the request's phase row
 	done     chan writeDone
 }
 
@@ -135,6 +137,7 @@ func NewServer(cfg Config) (*Server, error) {
 		sessions: make(map[uint64]*session),
 	}
 	cfg.Metrics.queueDepth = func() int { return len(s.writeQ) }
+	cfg.Metrics.reg.Store(cfg.Store.MetricsRegistry())
 	s.wgBatcher.Add(1)
 	go s.batcher()
 	return s, nil
@@ -289,7 +292,7 @@ func (s *Server) handleConn(conn net.Conn, st *connState) {
 			s.logf("serve: session %d: response write: %v", sess.id, err)
 			return
 		}
-		s.cfg.Metrics.observePhase(OpName(req.Op), phaseRespond, time.Since(t0))
+		s.cfg.Metrics.observePhase(req.Op, obs.PhaseRPCRespond, time.Since(t0))
 		if s.draining.Load() {
 			// The in-flight op is acknowledged; nothing more is accepted
 			// on this connection, so close it rather than waiting for the
@@ -450,7 +453,7 @@ func (s *Server) executeWrite(ctx context.Context, req *Request) *Response {
 		ops:      ops,
 		ctx:      ctx,
 		enqueued: time.Now(),
-		opName:   OpName(req.Op),
+		op:       req.Op,
 		done:     make(chan writeDone, 1),
 	}
 	select {
@@ -541,7 +544,7 @@ func (s *Server) commitGroup(group []*writeReq) {
 	live := group[:0]
 	now := time.Now()
 	for _, wr := range group {
-		s.cfg.Metrics.observePhase(wr.opName, phaseQueue, now.Sub(wr.enqueued))
+		s.cfg.Metrics.observePhase(wr.op, obs.PhaseRPCQueue, now.Sub(wr.enqueued))
 		if err := wr.ctx.Err(); err != nil {
 			wr.done <- writeDone{err: err}
 			continue
@@ -569,7 +572,7 @@ func (s *Server) commitGroup(group []*writeReq) {
 		d := time.Since(t0)
 		off := 0
 		for _, wr := range live {
-			s.cfg.Metrics.observePhase(wr.opName, phaseApply, d)
+			s.cfg.Metrics.observePhase(wr.op, obs.PhaseRPCApply, d)
 			wr.done <- writeDone{results: results[off : off+len(wr.ops)]}
 			off += len(wr.ops)
 		}
@@ -595,7 +598,7 @@ func (s *Server) commitGroup(group []*writeReq) {
 func (s *Server) commitOne(wr *writeReq) {
 	t0 := time.Now()
 	results, err := s.cfg.Store.ApplyBatchCtx(wr.ctx, wr.ops)
-	s.cfg.Metrics.observePhase(wr.opName, phaseApply, time.Since(t0))
+	s.cfg.Metrics.observePhase(wr.op, obs.PhaseRPCApply, time.Since(t0))
 	var be *core.BatchError
 	if errors.As(err, &be) {
 		err = be.Err
