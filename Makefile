@@ -246,10 +246,11 @@ serve-baseline:
 # exporter on (the artifact CI uploads; load it in Perfetto — the
 # group-8x4 mode shows several batch spans resolved by one fsync span),
 # plus the null-span guarantee that disabled tracing costs zero
-# allocations on the op path.
+# allocations on the op path, and the op bracket's (Registry.Begin/End,
+# where the tracer check runs) with and without a flight recorder.
 trace-smoke:
 	$(GO) run ./cmd/boxbench -exp tgroup -trace trace-tgroup.json
-	$(GO) test ./internal/obs -run 'TestTracerDisabledIsNullAndAllocFree' -count=1 -v
+	$(GO) test ./internal/obs -run 'TestTracerDisabledIsNullAndAllocFree|TestOpBracketZeroAllocs' -count=1 -v
 	$(GO) test ./internal/core -run 'TestPhaseCoverageDurable|TestBatchTraceCoalescing' -count=1 -v
 
 microbench:

@@ -154,28 +154,19 @@ type (
 // Observability types. Every Store reports per-operation latency and
 // I/O-delta histograms plus structural counters (splits, rebuilds,
 // relabels, cache hits) into a Metrics registry; see Store.Metrics,
-// Store.MetricsRegistry, and MetricsHandler.
+// Store.MetricsRegistry, and MetricsHandler. The registry reports each
+// operation once: the same bracket feeds the histograms, the span tracer
+// and the registry's one flight recorder (Options.CrashDir).
 type (
 	// Metrics is the registry a Store reports into. Pass one via
 	// Options.Metrics to aggregate several stores into one endpoint.
 	Metrics = obs.Registry
 	// MetricsSnapshot is a point-in-time copy of every recorded metric.
 	MetricsSnapshot = obs.Snapshot
-	// TraceHook receives a structured event around every operation.
-	TraceHook = obs.TraceHook
-	// TraceEvent is the per-operation payload delivered to hooks.
-	TraceEvent = obs.Event
-	// RingHook is a bundled TraceHook keeping the last n events in memory.
-	RingHook = obs.RingHook
-	// SlogHook is a bundled TraceHook logging events through log/slog.
-	SlogHook = obs.SlogHook
 )
 
 // NewMetrics creates an empty metrics registry.
 func NewMetrics() *Metrics { return obs.NewRegistry() }
-
-// NewRingHook creates a trace hook retaining the last n events.
-func NewRingHook(n int) *RingHook { return obs.NewRingHook(n) }
 
 // MetricsHandler returns an http.Handler serving r's metrics in Prometheus
 // text format at /metrics, plus the pprof endpoints under /debug/pprof/.

@@ -75,7 +75,7 @@ func main() {
 		fmt.Printf("metrics : http://%s/metrics (pprof under /debug/pprof/)\n", ln.Addr())
 	}
 	if *trace != "" {
-		cfg.Metrics.Tracer().Start(obs.TraceOptions{})
+		cfg.Metrics.Tracer().Start(0)
 		defer func() {
 			f, err := os.Create(*trace)
 			if err == nil {

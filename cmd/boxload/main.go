@@ -120,7 +120,7 @@ func main() {
 	// and the slog logger; -trace alone starts it here, exactly once.
 	opts.SlowOpThreshold = *slowOp
 	if *trace != "" && *slowOp == 0 {
-		opts.Metrics.Tracer().Start(obs.TraceOptions{})
+		opts.Metrics.Tracer().Start(0)
 	}
 	st, err := core.Open(opts)
 	if err != nil {

@@ -126,12 +126,11 @@ func TestInspectHealth(t *testing.T) {
 func TestInspectCrashDump(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
-	fr := obs.NewFlightRecorder(reg, dir, 8)
-	reg.AddHook(fr)
+	fr := reg.InstallFlightRecorder(dir)
 	reg.RegisterCollector(obs.CollectorFunc(func() []obs.GaugeValue {
 		return []obs.GaugeValue{obs.G("boxes_tree_height", "h", 3, "scheme", "W-BOX")}
 	}))
-	c := reg.Begin("W-BOX", obs.OpInsert, 0, 0)
+	c := reg.Begin("W-BOX", obs.OpInsert, false, 0, 0)
 	reg.End(c, 4, 2, errors.New("injected failure: write budget exhausted"))
 	if fr.Dumps() != 1 {
 		t.Fatalf("dumps = %d (err: %v)", fr.Dumps(), fr.Err())

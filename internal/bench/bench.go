@@ -54,7 +54,7 @@ func (c Config) instrument(scheme string, store *pager.Store, op obs.Op, fn func
 		return fn()
 	}
 	st := store.Stats()
-	ctx := c.Metrics.Begin(scheme, op, st.Reads, st.Writes)
+	ctx := c.Metrics.Begin(scheme, op, false, st.Reads, st.Writes)
 	err := fn()
 	st = store.Stats()
 	c.Metrics.End(ctx, st.Reads, st.Writes, err)
@@ -199,26 +199,9 @@ func (r *Recorder) Observe(reg *obs.Registry, scheme string, op obs.Op) *Recorde
 // Do runs op and records its I/O cost and wall time (unless still in the
 // skip prefix). The recorder keeps its own per-op durations because the
 // registry's histograms are shared across every scheme in a run; per-scheme
-// p50/p99 must come from here. With a registry attached the op's wall time
-// is also attributed by phase: the pager records block_read/block_write
-// (and WAL commit) under the writer-op row, and whatever the pager did not
-// claim lands in the op's structure phase.
+// p50/p99 must come from here.
 func (r *Recorder) Do(op func() error) error {
-	before := r.store.Stats()
-	ctx := r.reg.Begin(r.scheme, r.op, before.Reads, before.Writes)
-	r.reg.SetWriterCell(r.schemeIdx, r.op)
-	phBefore := r.store.PhaseStats()
-	start := time.Now()
-	err := op()
-	elapsed := time.Since(start)
-	r.reg.ClearWriterOp()
-	after := r.store.Stats()
-	r.reg.End(ctx, after.Reads, after.Writes, err)
-	if r.reg != nil {
-		if resid := int64(elapsed) - r.store.PhaseStats().Sub(phBefore).Total(); resid > 0 {
-			r.reg.ObservePhase(r.op, obs.PhaseStructure, time.Duration(resid))
-		}
-	}
+	io, elapsed, err := r.bracket(r.op, op)
 	if err != nil {
 		return err
 	}
@@ -226,9 +209,8 @@ func (r *Recorder) Do(op func() error) error {
 	if r.seen <= r.Skip {
 		return nil
 	}
-	d := after.Sub(before).Total()
-	r.costs = append(r.costs, uint32(d))
-	r.total += d
+	r.costs = append(r.costs, uint32(io))
+	r.total += io
 	r.durs = append(r.durs, int64(elapsed))
 	r.totalDur += int64(elapsed)
 	return nil
@@ -238,13 +220,23 @@ func (r *Recorder) Do(op func() error) error {
 // kind op, without entering the workload's cost distribution. Used for the
 // setup phases (bulk loads) that the figures exclude.
 func (r *Recorder) Bracket(op obs.Op, fn func() error) error {
+	_, _, err := r.bracket(op, fn)
+	return err
+}
+
+// bracket runs fn as one operation of kind op in the attached registry (if
+// any) and returns its block I/O and wall time. The wall time is
+// attributed by phase: the pager records block_read/block_write (and WAL
+// commit) under the writer-op row, and whatever the pager did not claim
+// lands in the op's structure phase.
+func (r *Recorder) bracket(op obs.Op, fn func() error) (io uint64, elapsed time.Duration, err error) {
 	before := r.store.Stats()
-	ctx := r.reg.Begin(r.scheme, op, before.Reads, before.Writes)
+	ctx := r.reg.Begin(r.scheme, op, false, before.Reads, before.Writes)
 	r.reg.SetWriterCell(r.schemeIdx, op)
 	phBefore := r.store.PhaseStats()
 	start := time.Now()
-	err := fn()
-	elapsed := time.Since(start)
+	err = fn()
+	elapsed = time.Since(start)
 	r.reg.ClearWriterOp()
 	after := r.store.Stats()
 	r.reg.End(ctx, after.Reads, after.Writes, err)
@@ -253,7 +245,7 @@ func (r *Recorder) Bracket(op obs.Op, fn func() error) error {
 			r.reg.ObservePhase(op, obs.PhaseStructure, time.Duration(resid))
 		}
 	}
-	return err
+	return after.Sub(before).Total(), elapsed, err
 }
 
 // N reports the number of recorded operations.

@@ -7,7 +7,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"log/slog"
 	"sync/atomic"
 	"time"
 
@@ -125,23 +124,17 @@ type Options struct {
 	// Metrics routes the store's measurements into an existing registry,
 	// so several stores (e.g. one per scheme in a benchmark) can share one
 	// exposition endpoint. When nil the store creates its own registry;
-	// metrics are always on — the no-hook fast path costs a few atomic
-	// adds and zero allocations per operation.
+	// metrics are always on — the op bracket costs a few atomic adds and
+	// zero allocations per operation.
 	Metrics *obs.Registry
 
-	// TraceHooks are installed on the registry at Open time, receiving a
-	// structured event around every logical operation.
-	TraceHooks []obs.TraceHook
-
 	// CrashDir enables the flight recorder: on any operation error
-	// (including injected backend faults) the last CrashRing op events,
-	// a full metrics snapshot, and the structural gauges are written as a
-	// JSON crash file into this directory (boxinspect -crash reads them).
-	// When several stores share one registry, set CrashDir on one of them.
+	// (including injected backend faults) the last 64 op events, a full
+	// metrics snapshot, and the structural gauges are written as a JSON
+	// crash file into this directory (boxinspect -crash reads them), at
+	// most 8 per registry. A registry holds one recorder: stores opened
+	// on a registry that already has one share it, and its directory.
 	CrashDir string
-	// CrashRing is how many recent op events the flight recorder retains
-	// (default 64).
-	CrashRing int
 
 	// SlowOpThreshold enables the slow-op log: span recording is turned on
 	// for the store's registry, and any operation whose wall time meets the
@@ -199,17 +192,13 @@ func Open(opts Options) (*Store, error) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	for _, h := range opts.TraceHooks {
-		reg.AddHook(h)
-	}
 	var flight *obs.FlightRecorder
 	if opts.CrashDir != "" {
-		flight = obs.NewFlightRecorder(reg, opts.CrashDir, opts.CrashRing)
-		reg.AddHook(flight)
+		flight = reg.InstallFlightRecorder(opts.CrashDir)
 	}
 	reg.SetScheme(opts.Scheme.String())
 	if opts.SlowOpThreshold > 0 {
-		reg.Tracer().Start(obs.TraceOptions{SlowOp: opts.SlowOpThreshold, SlowLogger: slog.Default()})
+		reg.Tracer().Start(opts.SlowOpThreshold)
 	}
 
 	popts := []pager.Option{pager.WithObserver(reg)}
@@ -328,13 +317,12 @@ func (s *Store) EnableOrdinalCache(logK int) (*reflog.Cache, error) {
 	return c, nil
 }
 
-// FlightRecorder returns the flight recorder installed via
-// Options.CrashDir, or nil when crash dumping is off.
+// FlightRecorder returns the registry's flight recorder when
+// Options.CrashDir is set, or nil when crash dumping is off.
 func (s *Store) FlightRecorder() *obs.FlightRecorder { return s.flight }
 
 // MetricsRegistry returns the registry this store reports into (never
-// nil). Callers can expose it over HTTP with obs.Handler or install trace
-// hooks after the fact.
+// nil). Callers can expose it over HTTP with obs.Handler.
 func (s *Store) MetricsRegistry() *obs.Registry { return s.reg }
 
 // Metrics returns a point-in-time snapshot of every metric the store has
@@ -365,14 +353,14 @@ func (s *Store) CheckLedger(strict bool) error {
 }
 
 // opMeasure carries one in-flight operation's measurement state between
-// begin and end: the registry context, the pager phase-counter snapshot
-// (for the residual "structure" phase), and the root span when tracing.
+// begin and end: the registry context (which holds the root span when
+// tracing) and the pager phase-counter snapshot (for the residual
+// "structure" phase).
 type opMeasure struct {
 	ctx  obs.OpCtx
 	op   obs.Op
 	excl bool // runs in the exclusive writer section
 	ph   pager.PhaseNanos
-	sp   obs.Span
 }
 
 // begin opens a per-operation measurement against the store's registry,
@@ -393,11 +381,8 @@ func (s *Store) begin(op obs.Op) opMeasure {
 			s.reg.ObservePhase(op, obs.PhaseLockWaitWrite, s.lockWait)
 		}
 	}
-	if tr := s.reg.Tracer(); tr.Enabled() {
-		m.sp = tr.StartOp(s.schemeName, op, !m.excl)
-	}
 	m.ph = s.store.PhaseStats()
-	m.ctx = s.reg.Begin(s.schemeName, op, st.Reads, st.Writes)
+	m.ctx = s.reg.Begin(s.schemeName, op, !m.excl, st.Reads, st.Writes)
 	return m
 }
 
@@ -425,7 +410,6 @@ func (s *Store) end(m opMeasure, err error) {
 		resid = 0
 	}
 	s.reg.ObservePhase(m.op, obs.PhaseStructure, time.Duration(resid))
-	m.sp.End(err)
 }
 
 // notePhase attributes one instrumented section inside durable() to the

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"errors"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"boxes/internal/faults"
 	"boxes/internal/obs"
 	"boxes/internal/pager"
 	"boxes/internal/xmlgen"
@@ -200,11 +203,10 @@ func TestReflogCounters(t *testing.T) {
 	}
 }
 
-// TestTraceHookThroughOptions asserts hooks installed via Options see
-// start/end pairs in order with the scheme attached.
-func TestTraceHookThroughOptions(t *testing.T) {
-	ring := obs.NewRingHook(64)
-	st, err := Open(Options{Scheme: SchemeBBox, BlockSize: 512, TraceHooks: []obs.TraceHook{ring}})
+// TestFlightRecorderThroughOptions asserts the recorder Options.CrashDir
+// installs sees start/end pairs in order with the scheme attached.
+func TestFlightRecorderThroughOptions(t *testing.T) {
+	st, err := Open(Options{Scheme: SchemeBBox, BlockSize: 512, CrashDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,21 +216,59 @@ func TestTraceHookThroughOptions(t *testing.T) {
 	if err := st.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	evs := ring.Events()
+	evs := st.FlightRecorder().Events()
 	if len(evs) != 4 {
 		t.Fatalf("got %d events, want 4 (2 ops x start+end)", len(evs))
 	}
 	if !evs[0].Start || evs[1].Start || !evs[2].Start || evs[3].Start {
 		t.Fatalf("start/end interleaving wrong: %+v", evs)
 	}
-	if evs[1].Event.Op != obs.OpBulkLoad || evs[3].Event.Op != obs.OpCheck {
-		t.Fatalf("ops = %v, %v", evs[1].Event.Op, evs[3].Event.Op)
+	if evs[1].Op != "bulk_load" || evs[3].Op != "check" {
+		t.Fatalf("ops = %v, %v", evs[1].Op, evs[3].Op)
 	}
-	if evs[1].Event.Scheme != "B-BOX" {
-		t.Fatalf("scheme = %q", evs[1].Event.Scheme)
+	if evs[1].Scheme != "B-BOX" {
+		t.Fatalf("scheme = %q", evs[1].Scheme)
 	}
-	if evs[1].Event.Writes == 0 {
+	if evs[1].Writes == 0 {
 		t.Error("bulk load charged no writes")
+	}
+}
+
+// TestReopenKeepsOneFlightRecorder reopens stores with CrashDir on one
+// shared registry, as the simulator does after every restart: the
+// registry keeps one recorder, so one failing op writes one crash file.
+func TestReopenKeepsOneFlightRecorder(t *testing.T) {
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	sched := faults.NewSchedule(1)
+	var first *obs.FlightRecorder
+	var st *Store
+	for i := 0; i < 4; i++ {
+		var err error
+		st, err = Open(Options{Scheme: SchemeWBox, BlockSize: 512, Metrics: reg, CrashDir: dir,
+			Backend: pager.NewFaultBackend(pager.NewMemBackend(512), sched)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = st.FlightRecorder()
+		} else if st.FlightRecorder() != first {
+			t.Fatalf("open %d installed a second flight recorder", i+1)
+		}
+	}
+	sched.SetBudget(sched.Ops())
+	if _, err := st.InsertFirstElement(); !errors.Is(err, pager.ErrInjected) {
+		t.Fatalf("insert err = %v, want injected", err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "crash-*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 1 {
+		t.Fatalf("%d crash files, want 1: %v", len(files), files)
+	}
+	if evs := first.Events(); len(evs) != 2 {
+		t.Fatalf("ring holds %d events, want 2 (one start, one end)", len(evs))
 	}
 }
 
@@ -262,8 +302,8 @@ func TestSharedRegistryAcrossStores(t *testing.T) {
 	}
 }
 
-// TestMetricsSurviveOpenExisting asserts the runtime Metrics/TraceHooks
-// options are honored when resuming a persisted store.
+// TestMetricsSurviveOpenExisting asserts the runtime Metrics option is
+// honored when resuming a persisted store.
 func TestMetricsSurviveOpenExisting(t *testing.T) {
 	be := pager.NewMemBackend(512)
 	st, err := Open(Options{Scheme: SchemeWBox, BlockSize: 512, Backend: be})

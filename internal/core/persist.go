@@ -100,8 +100,7 @@ func OpenExisting(backend pager.Backend, runtime Options) (*Store, error) {
 		if reg == nil {
 			reg = obs.NewRegistry()
 		}
-		fr := obs.NewFlightRecorder(reg, runtime.CrashDir, runtime.CrashRing)
-		fr.DumpFailure("open-existing", err, map[string]string{
+		reg.InstallFlightRecorder(runtime.CrashDir).DumpFailure("open-existing", err, map[string]string{
 			"stage": "open-existing",
 		})
 	}
@@ -169,9 +168,7 @@ func openExisting(backend pager.Backend, runtime Options) (*Store, error) {
 		Durability:    runtime.Durability,
 		Retry:         runtime.Retry,
 		Metrics:       runtime.Metrics,
-		TraceHooks:    runtime.TraceHooks,
 		CrashDir:      runtime.CrashDir,
-		CrashRing:     runtime.CrashRing,
 	}
 	st, err := Open(opts)
 	if err != nil {

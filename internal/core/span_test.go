@@ -151,7 +151,7 @@ func TestMetricsScrapeRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.RegisterHealthGauges()
-	st.MetricsRegistry().Tracer().Start(obs.TraceOptions{SlowOp: time.Millisecond})
+	st.MetricsRegistry().Tracer().Start(time.Millisecond)
 	sc, err := st.StartScrubber(pager.ScrubConfig{BatchBlocks: 16, Interval: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -296,7 +296,7 @@ func TestBatchTraceCoalescing(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := st.MetricsRegistry().Tracer()
-	tr.Start(obs.TraceOptions{})
+	tr.Start(0)
 	st.SetDeferredDurability(true)
 
 	fb.HoldGroupCommit(true)

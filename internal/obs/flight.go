@@ -1,4 +1,4 @@
-// Flight recorder: a trace hook that retains the most recent operations
+// Flight recorder: a ring that retains the most recent operations
 // and, the moment an operation fails, dumps them — together with a full
 // metrics snapshot and the structural health gauges — to a JSON crash file
 // for post-mortem analysis (boxinspect -crash pretty-prints one).
@@ -21,7 +21,8 @@ import (
 	"boxes/internal/faults"
 )
 
-// EventRecord is the JSON-serializable form of a trace event.
+// EventRecord is one event in the flight recorder's ring and in a crash
+// dump: an operation start marker, or a completed operation.
 type EventRecord struct {
 	Start    bool      `json:"start,omitempty"` // an op-start marker (no timing)
 	Scheme   string    `json:"scheme"`
@@ -36,26 +37,10 @@ type EventRecord struct {
 	ErrorClass string `json:"error_class,omitempty"`
 }
 
-func toEventRecord(re RingEvent) EventRecord {
-	r := EventRecord{
-		Start:  re.Start,
-		Scheme: re.Event.Scheme,
-		Op:     re.Event.Op.String(),
-	}
-	if !re.Start {
-		r.Began = re.Event.Start
-		r.Duration = int64(re.Event.Duration)
-		r.Reads = re.Event.Reads
-		r.Writes = re.Event.Writes
-		if re.Event.Err != nil {
-			r.Error = re.Event.Err.Error()
-			r.ErrorClass = re.Event.Class
-			if r.ErrorClass == "" {
-				r.ErrorClass = faults.Classify(re.Event.Err).String()
-			}
-		}
-	}
-	return r
+// setErr records a failure and its classification.
+func (e *EventRecord) setErr(err error) {
+	e.Error = err.Error()
+	e.ErrorClass = faults.Classify(err).String()
 }
 
 // CrashDump is the on-disk schema of one flight-recorder dump.
@@ -79,39 +64,45 @@ type StringMap = map[string]string
 // crashDumpVersion is bumped whenever the CrashDump schema changes shape.
 const crashDumpVersion = 1
 
-// FlightRecorder is a TraceHook that keeps the last N operation events in
-// a ring and dumps a crash file on every operation error. Install it on a
-// registry with AddHook (core.Options.CrashDir does this for stores).
+// Flight recorder sizes: the ring keeps the last flightRing events, and a
+// recorder writes at most flightDumps crash files, so a persistent fault
+// (e.g. a dead disk) cannot flood the directory.
+const (
+	flightRing  = 64
+	flightDumps = 8
+)
+
+// FlightRecorder keeps the last operation events of a registry in a ring
+// and dumps a crash file on every operation error. A registry holds at
+// most one (InstallFlightRecorder; core.Options.CrashDir installs it for
+// stores), fed by Registry.Begin and End.
 //
 // Gauge collection at dump time runs the registry's registered collectors;
 // they walk structures that may be mid-failure, so collectors tolerate
 // errors and the dump records whatever could be gathered.
 type FlightRecorder struct {
-	reg  *Registry
-	ring *RingHook
-	dir  string
+	reg *Registry
+	dir string
 
-	mu    sync.Mutex
-	limit int
-	dumps int
-	last  string
-	err   error
+	mu      sync.Mutex
+	ring    [flightRing]EventRecord
+	next    int
+	wrapped bool
+	dumps   int
+	last    string
+	err     error
 }
 
-// NewFlightRecorder creates a recorder retaining the last ringSize events
-// (ringSize < 1 selects 64) and writing crash files into dir (created on
-// first dump). At most 8 dumps are written per recorder, so a persistent
-// fault (e.g. a dead disk) cannot flood the directory; raise or lower the
-// cap with SetDumpLimit.
-func NewFlightRecorder(reg *Registry, dir string, ringSize int) *FlightRecorder {
-	return &FlightRecorder{reg: reg, ring: NewRingHook(ringSize), dir: dir, limit: 8}
-}
-
-// SetDumpLimit caps the number of crash files this recorder will write.
-func (f *FlightRecorder) SetDumpLimit(n int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.limit = n
+// InstallFlightRecorder returns the registry's flight recorder, first
+// installing one that writes crash files into dir (created on first dump)
+// when the registry has none. Stores reopened on a shared registry thus
+// keep one ring and one dump cap; the first installer's dir wins.
+func (r *Registry) InstallFlightRecorder(dir string) *FlightRecorder {
+	if r == nil {
+		return nil
+	}
+	r.flight.CompareAndSwap(nil, &FlightRecorder{reg: r, dir: dir})
+	return r.flight.Load()
 }
 
 // Dumps reports how many crash files have been written.
@@ -135,18 +126,38 @@ func (f *FlightRecorder) Err() error {
 	return f.err
 }
 
-// OpStart implements TraceHook.
-func (f *FlightRecorder) OpStart(scheme string, op Op) { f.ring.OpStart(scheme, op) }
-
-// OpEnd implements TraceHook: the event enters the ring, and if it failed
-// the recorder writes a crash dump on the spot (on the operation's own
-// goroutine, so the structure is not mutating underneath the gauge walk).
-func (f *FlightRecorder) OpEnd(ev Event) {
-	f.ring.OpEnd(ev)
-	if ev.Err == nil {
-		return
+// push appends one event to the ring.
+func (f *FlightRecorder) push(e EventRecord) {
+	f.mu.Lock()
+	f.ring[f.next] = e
+	f.next++
+	if f.next == flightRing {
+		f.next, f.wrapped = 0, true
 	}
-	f.dump(ev, nil)
+	f.mu.Unlock()
+}
+
+// Events returns the retained events, oldest first.
+func (f *FlightRecorder) Events() []EventRecord {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if !f.wrapped {
+		return append([]EventRecord(nil), f.ring[:f.next]...)
+	}
+	return append(append([]EventRecord(nil), f.ring[f.next:]...), f.ring[:f.next]...)
+}
+
+// opEnd records a completed operation; a failed one also writes a crash
+// dump on the spot, on the operation's own goroutine, so the structure is
+// not mutating underneath the gauge walk.
+func (f *FlightRecorder) opEnd(e EventRecord, err error) {
+	if err != nil {
+		e.setErr(err)
+	}
+	f.push(e)
+	if err != nil {
+		f.dump(e, nil)
+	}
 }
 
 // DumpFailure writes a crash dump for a failure that is not a traced
@@ -160,12 +171,14 @@ func (f *FlightRecorder) DumpFailure(stage string, err error, tags map[string]st
 	if err == nil {
 		return
 	}
-	f.dump(Event{Scheme: stage, Op: OpCheck, Err: err}, tags)
+	e := EventRecord{Scheme: stage, Op: OpCheck.String()}
+	e.setErr(err)
+	f.dump(e, tags)
 }
 
-func (f *FlightRecorder) dump(ev Event, tags map[string]string) {
+func (f *FlightRecorder) dump(trigger EventRecord, tags map[string]string) {
 	f.mu.Lock()
-	if f.limit >= 0 && f.dumps >= f.limit {
+	if f.dumps >= flightDumps {
 		f.mu.Unlock()
 		return
 	}
@@ -173,23 +186,19 @@ func (f *FlightRecorder) dump(ev Event, tags map[string]string) {
 	seq := f.dumps
 	f.mu.Unlock()
 
-	events := f.ring.Events()
-	recs := make([]EventRecord, len(events))
-	for i, re := range events {
-		recs[i] = toEventRecord(re)
-	}
+	events := f.Events()
 	snap := f.reg.Snapshot() // includes one gauge collection
 	d := CrashDump{
 		Version: crashDumpVersion,
 		Time:    time.Now(),
-		Trigger: toEventRecord(RingEvent{Event: ev}),
+		Trigger: trigger,
 		Tags:    tags,
-		Events:  recs,
+		Events:  events,
 		Metrics: snap,
 		Gauges:  snap.Gauges,
 		SlowOps: f.reg.Tracer().SlowOps(),
 	}
-	name := fmt.Sprintf("crash-%s-%s-%d-%d.json", sanitize(ev.Scheme), ev.Op, time.Now().UnixNano(), seq)
+	name := fmt.Sprintf("crash-%s-%s-%d-%d.json", sanitize(trigger.Scheme), trigger.Op, time.Now().UnixNano(), seq)
 	path := filepath.Join(f.dir, name)
 	if err := writeCrashDump(path, d); err != nil {
 		f.mu.Lock()
@@ -254,5 +263,3 @@ func ReadCrashDump(path string) (*CrashDump, error) {
 	}
 	return &d, nil
 }
-
-var _ TraceHook = (*FlightRecorder)(nil)

@@ -5,21 +5,21 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
 // runOp drives one instrumented operation through the registry, optionally
 // failing it.
 func runOp(r *Registry, scheme string, op Op, err error) {
-	c := r.Begin(scheme, op, 0, 0)
+	c := r.Begin(scheme, op, false, 0, 0)
 	r.End(c, 3, 1, err)
 }
 
 func TestFlightRecorderDumpsOnError(t *testing.T) {
 	dir := t.TempDir()
 	r := NewRegistry()
-	f := NewFlightRecorder(r, dir, 16)
-	r.AddHook(f)
+	f := r.InstallFlightRecorder(dir)
 	r.RegisterCollector(CollectorFunc(func() []GaugeValue {
 		return []GaugeValue{G("boxes_tree_height", "h", 3, "scheme", "W-BOX")}
 	}))
@@ -77,25 +77,68 @@ func TestFlightRecorderDumpsOnError(t *testing.T) {
 	}
 }
 
+// TestFlightRecorderRespectsDumpLimit also checks that a registry keeps
+// one recorder: a second install returns the first, with its dir and cap.
 func TestFlightRecorderRespectsDumpLimit(t *testing.T) {
-	dir := t.TempDir()
+	dir, other := t.TempDir(), t.TempDir()
 	r := NewRegistry()
-	f := NewFlightRecorder(r, dir, 8)
-	f.SetDumpLimit(2)
-	r.AddHook(f)
+	f := r.InstallFlightRecorder(dir)
+	if again := r.InstallFlightRecorder(other); again != f {
+		t.Fatal("second install replaced the registry's flight recorder")
+	}
 
-	for i := 0; i < 5; i++ {
+	for i := 0; i < flightDumps+3; i++ {
 		runOp(r, "B-BOX", OpDelete, errors.New("persistent fault"))
 	}
-	if f.Dumps() != 2 {
-		t.Fatalf("dumps = %d, want 2", f.Dumps())
+	if f.Dumps() != flightDumps {
+		t.Fatalf("dumps = %d, want %d", f.Dumps(), flightDumps)
 	}
 	files, err := filepath.Glob(filepath.Join(dir, "crash-*.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(files) != 2 {
-		t.Fatalf("%d crash files on disk, want 2: %v", len(files), files)
+	if len(files) != flightDumps {
+		t.Fatalf("%d crash files on disk, want %d: %v", len(files), flightDumps, files)
+	}
+	if files, _ := filepath.Glob(filepath.Join(other, "*")); len(files) != 0 {
+		t.Fatalf("second install's dir got files: %v", files)
+	}
+}
+
+// TestFlightRecorderConcurrent feeds one recorder from several goroutines
+// while each also installs: every install must return the same recorder,
+// and the ring must hold the last events intact.
+func TestFlightRecorderConcurrent(t *testing.T) {
+	r := NewRegistry()
+	dir := t.TempDir()
+	const workers, ops = 4, 100
+	got := make([]*FlightRecorder, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			got[w] = r.InstallFlightRecorder(dir)
+			for i := 0; i < ops; i++ {
+				runOp(r, "W-BOX", OpLookup, nil)
+				got[w].Events()
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w, f := range got {
+		if f != got[0] {
+			t.Fatalf("worker %d got a different recorder", w)
+		}
+	}
+	evs := got[0].Events()
+	if len(evs) != flightRing {
+		t.Fatalf("ring holds %d events, want %d", len(evs), flightRing)
+	}
+	for i, ev := range evs {
+		if ev.Scheme != "W-BOX" || ev.Op != "lookup" {
+			t.Fatalf("event %d = %+v", i, ev)
+		}
 	}
 }
 

@@ -98,7 +98,7 @@ func TestLedgerWindowRotation(t *testing.T) {
 	row := r.SchemeIndex(scheme)
 	// First window: expensive inserts (10 relabeled records each).
 	for i := 0; i < ledgerWindow; i++ {
-		c := r.Begin(scheme, OpInsert, 0, 0)
+		c := r.Begin(scheme, OpInsert, false, 0, 0)
 		r.SetWriterCell(row, OpInsert)
 		r.CostRelabeled(10)
 		r.ClearWriterOp()
@@ -106,7 +106,7 @@ func TestLedgerWindowRotation(t *testing.T) {
 	}
 	// Second window: free inserts.
 	for i := 0; i < ledgerWindow; i++ {
-		c := r.Begin(scheme, OpInsert, 0, 0)
+		c := r.Begin(scheme, OpInsert, false, 0, 0)
 		r.End(c, 0, 0, nil)
 	}
 	gs := map[string]float64{}
@@ -158,7 +158,7 @@ func TestSchemeInterningOverflow(t *testing.T) {
 func TestExpositionIncludesLedger(t *testing.T) {
 	r := NewRegistry()
 	row := r.SchemeIndex("W-BOX")
-	c := r.Begin("W-BOX", OpInsert, 0, 0)
+	c := r.Begin("W-BOX", OpInsert, false, 0, 0)
 	r.SetWriterCell(row, OpInsert)
 	r.Inc(CtrWBoxSplits)
 	r.ClearWriterOp()
@@ -181,7 +181,7 @@ func TestExpositionIncludesLedger(t *testing.T) {
 func TestFormatLedger(t *testing.T) {
 	r := NewRegistry()
 	row := r.SchemeIndex("B-BOX")
-	c := r.Begin("B-BOX", OpDelete, 0, 0)
+	c := r.Begin("B-BOX", OpDelete, false, 0, 0)
 	r.SetWriterCell(row, OpDelete)
 	r.Inc(CtrBBoxMerges)
 	r.ClearWriterOp()
@@ -199,7 +199,7 @@ func TestFormatLedger(t *testing.T) {
 // so they must count toward the op totals the ratios divide by.
 func TestLedgerErroredOpsStillCount(t *testing.T) {
 	r := NewRegistry()
-	c := r.Begin("W-BOX", OpInsert, 0, 0)
+	c := r.Begin("W-BOX", OpInsert, false, 0, 0)
 	r.End(c, 0, 0, errors.New("injected"))
 	ops := r.LedgerOpCounts()
 	if len(ops) != 1 || ops[0].Count != 1 {

@@ -1,8 +1,8 @@
 // Package obs is the observability subsystem shared by every layer of the
 // repository: a low-overhead metrics registry (atomic counters and
 // fixed-bucket histograms, no external dependencies), per-operation series
-// recording wall time and block-I/O deltas, and a pluggable trace-hook
-// interface for structured operation logging.
+// recording wall time and block-I/O deltas, a flight recorder that dumps
+// the recent operations when one fails, and an opt-in span tracer.
 //
 // The paper's entire argument is an I/O-accounting argument — W-BOX's
 // 1-I/O lookups, B-BOX's O(1) amortized updates, the caching layer's
@@ -14,17 +14,17 @@
 // amortization hides (splits, relabels, rebuilds, merges, cache repairs)
 // has a dedicated counter.
 //
-// The no-hook fast path performs no allocations: Begin/End manipulate a
-// by-value OpCtx and atomic counters only, so instrumentation can stay on
-// in production.
+// Registry.Begin/End is the one op bracket: it feeds the histograms, the
+// tracer's root span and the flight recorder. A successful op allocates
+// nothing: Begin/End manipulate a by-value OpCtx and atomic counters (and
+// the recorder's fixed ring), so instrumentation can stay on in
+// production.
 package obs
 
 import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"boxes/internal/faults"
 )
 
 // Op identifies one per-operation metric series.
@@ -308,7 +308,7 @@ type Registry struct {
 	phases   [numPhaseRows][numPhases]hist
 	writerOp atomic.Int32 // packed current exclusive-section cell; see SetWriterCell
 	tracer   *Tracer
-	hooks    atomic.Pointer[[]TraceHook]
+	flight   atomic.Pointer[FlightRecorder] // see InstallFlightRecorder
 
 	// Amortized-cost ledger (ledger.go): per-(scheme, op, kind) attribution
 	// cells, per-kind global totals, per-(scheme, op) completed-op counts,
@@ -396,25 +396,6 @@ func (r *Registry) Schemes() []string {
 	return out
 }
 
-// AddHook installs a trace hook. Hooks should be installed before
-// operations begin; installation is safe concurrently with running
-// operations, but an operation in flight when the hook is added may miss
-// its start event.
-func (r *Registry) AddHook(h TraceHook) {
-	if r == nil || h == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	old := r.hooks.Load()
-	var next []TraceHook
-	if old != nil {
-		next = append(next, *old...)
-	}
-	next = append(next, h)
-	r.hooks.Store(&next)
-}
-
 // Inc adds one to a structural counter and, for ledger-mapped counters,
 // attributes the event to the current writer cell (counter first, then
 // cell, then total — the order the conservation invariant relies on).
@@ -466,30 +447,35 @@ type OpCtx struct {
 	start     time.Time
 	reads     uint64
 	writes    uint64
+	sp        Span // the tracer's root op span (null when tracing is off)
 	active    bool
 }
 
 // Begin opens a per-operation measurement: reads/writes are the pager's
-// cumulative I/O counters at operation start. The scheme name is carried
-// into trace events.
-func (r *Registry) Begin(scheme string, op Op, reads, writes uint64) OpCtx {
+// cumulative I/O counters at operation start. It opens the tracer's root
+// op span, on the calling goroutine's reader lane when reader is set (a
+// lookup on the shared read path) and on the writer lane otherwise, and
+// marks the start in the flight recorder's ring.
+func (r *Registry) Begin(scheme string, op Op, reader bool, reads, writes uint64) OpCtx {
 	if r == nil {
 		return OpCtx{}
 	}
 	c := OpCtx{scheme: scheme, schemeIdx: r.SchemeIndex(scheme), op: op, start: time.Now(), reads: reads, writes: writes, active: true}
-	if hooks := r.hooks.Load(); hooks != nil {
-		for _, h := range *hooks {
-			h.OpStart(scheme, op)
-		}
+	if r.tracer.Enabled() {
+		c.sp = r.tracer.startOp(scheme, op, reader)
+	}
+	if f := r.flight.Load(); f != nil {
+		f.push(EventRecord{Start: true, Scheme: scheme, Op: op.String()})
 	}
 	return c
 }
 
 // End closes a measurement opened by Begin: reads/writes are the pager's
 // cumulative counters at operation end; the element-wise difference from
-// the Begin snapshot is the operation's I/O charge. It returns the measured
-// wall time so callers can attribute a residual phase (zero for an inactive
-// context).
+// the Begin snapshot is the operation's I/O charge. The completed event
+// enters the flight recorder's ring and the root span closes. It returns
+// the measured wall time so callers can attribute a residual phase (zero
+// for an inactive context).
 func (r *Registry) End(c OpCtx, reads, writes uint64, err error) time.Duration {
 	if r == nil || !c.active {
 		return 0
@@ -509,23 +495,10 @@ func (r *Registry) End(c OpCtx, reads, writes uint64, err error) time.Duration {
 	s.latency.observe(uint64(d))
 	s.reads.observe(dr)
 	s.writes.observe(dw)
-	if hooks := r.hooks.Load(); hooks != nil {
-		ev := Event{
-			Scheme:   c.scheme,
-			Op:       c.op,
-			Start:    c.start,
-			Duration: d,
-			Reads:    dr,
-			Writes:   dw,
-			Err:      err,
-		}
-		if err != nil {
-			ev.Class = faults.Classify(err).String()
-		}
-		for _, h := range *hooks {
-			h.OpEnd(ev)
-		}
+	if f := r.flight.Load(); f != nil {
+		f.opEnd(EventRecord{Scheme: c.scheme, Op: c.op.String(), Began: c.start, Duration: int64(d), Reads: dr, Writes: dw}, err)
 	}
+	c.sp.End(err)
 	return d
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestHistBucketBoundaries(t *testing.T) {
@@ -55,7 +54,7 @@ func TestLatencyBoundsShape(t *testing.T) {
 
 func TestBeginEndRecords(t *testing.T) {
 	r := NewRegistry()
-	c := r.Begin("W-BOX", OpInsert, 10, 20)
+	c := r.Begin("W-BOX", OpInsert, false, 10, 20)
 	r.End(c, 13, 25, nil)
 	if got := r.OpCount(OpInsert); got != 1 {
 		t.Fatalf("OpCount = %d, want 1", got)
@@ -68,7 +67,7 @@ func TestBeginEndRecords(t *testing.T) {
 		t.Errorf("errors = %d, want 0", s.Errors)
 	}
 	// Errors count; counter reset mid-op saturates instead of wrapping.
-	c = r.Begin("W-BOX", OpInsert, 100, 100)
+	c = r.Begin("W-BOX", OpInsert, false, 100, 100)
 	r.End(c, 0, 0, errors.New("boom"))
 	s = r.Snapshot().Ops["insert"]
 	if s.Errors != 1 {
@@ -84,8 +83,10 @@ func TestNilRegistrySafe(t *testing.T) {
 	r.Inc(CtrWBoxSplits)
 	r.Add(CtrWBoxSplits, 3)
 	r.SetScheme("W-BOX")
-	r.AddHook(NewRingHook(4))
-	c := r.Begin("W-BOX", OpLookup, 0, 0)
+	if r.InstallFlightRecorder(t.TempDir()) != nil {
+		t.Fatal("nil registry installed a flight recorder")
+	}
+	c := r.Begin("W-BOX", OpLookup, false, 0, 0)
 	r.End(c, 1, 1, nil)
 	if r.Counter(CtrWBoxSplits) != 0 || r.OpCount(OpLookup) != 0 {
 		t.Fatal("nil registry recorded something")
@@ -99,52 +100,71 @@ func TestNilRegistrySafe(t *testing.T) {
 	}
 }
 
-func TestNoHookFastPathZeroAllocs(t *testing.T) {
+// TestOpBracketZeroAllocs gates the op bracket's hot path: a successful
+// Begin/End allocates nothing, with or without a flight recorder.
+func TestOpBracketZeroAllocs(t *testing.T) {
 	r := NewRegistry()
-	allocs := testing.AllocsPerRun(1000, func() {
-		c := r.Begin("W-BOX", OpLookup, 0, 0)
+	bracket := func() {
+		c := r.Begin("W-BOX", OpLookup, false, 0, 0)
 		r.End(c, 1, 0, nil)
-	})
-	if allocs != 0 {
-		t.Fatalf("no-hook Begin/End allocates %v times per op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, bracket); allocs != 0 {
+		t.Fatalf("Begin/End allocates %v times per op, want 0", allocs)
+	}
+	r.InstallFlightRecorder(t.TempDir())
+	if allocs := testing.AllocsPerRun(1000, bracket); allocs != 0 {
+		t.Fatalf("Begin/End with a flight recorder allocates %v times per op, want 0", allocs)
 	}
 }
 
-func TestTraceHookOrderingAndPayload(t *testing.T) {
+func TestFlightRingOrderingAndPayload(t *testing.T) {
 	r := NewRegistry()
-	h := NewRingHook(8)
-	r.AddHook(h)
-	c := r.Begin("B-BOX", OpDelete, 5, 5)
+	f := r.InstallFlightRecorder(t.TempDir())
+	c := r.Begin("B-BOX", OpDelete, false, 5, 5)
 	r.End(c, 7, 6, nil)
-	evs := h.Events()
+	evs := f.Events()
 	if len(evs) != 2 {
 		t.Fatalf("got %d events, want 2 (start, end)", len(evs))
 	}
 	if !evs[0].Start || evs[1].Start {
 		t.Fatalf("event order wrong: %+v", evs)
 	}
-	end := evs[1].Event
-	if end.Scheme != "B-BOX" || end.Op != OpDelete || end.Reads != 2 || end.Writes != 1 {
+	if evs[0].Scheme != "B-BOX" || evs[0].Op != "delete" {
+		t.Errorf("start event payload = %+v", evs[0])
+	}
+	end := evs[1]
+	if end.Scheme != "B-BOX" || end.Op != "delete" || end.Reads != 2 || end.Writes != 1 {
 		t.Errorf("end event payload = %+v", end)
 	}
 	if end.Duration < 0 {
 		t.Errorf("negative duration %v", end.Duration)
 	}
+	if end.Began.IsZero() || end.Error != "" {
+		t.Errorf("end event began = %v, error = %q", end.Began, end.Error)
+	}
 }
 
-func TestRingHookWraps(t *testing.T) {
-	h := NewRingHook(3)
-	for i := 0; i < 5; i++ {
-		h.OpEnd(Event{Op: Op(i % int(numOps)), Duration: time.Duration(i)})
+func TestFlightRingWraps(t *testing.T) {
+	r := NewRegistry()
+	f := r.InstallFlightRecorder(t.TempDir())
+	const ops = 40 // 80 events through a 64-event ring
+	for i := 0; i < ops; i++ {
+		c := r.Begin("W-BOX", OpInsert, false, 0, 0)
+		r.End(c, uint64(i), 0, nil)
 	}
-	evs := h.Events()
-	if len(evs) != 3 {
-		t.Fatalf("got %d events, want 3", len(evs))
+	evs := f.Events()
+	if len(evs) != flightRing {
+		t.Fatalf("got %d events, want %d", len(evs), flightRing)
 	}
-	// Oldest-first: durations 2, 3, 4.
-	for i, ev := range evs {
-		if ev.Event.Duration != time.Duration(i+2) {
-			t.Fatalf("event %d has duration %v, want %d", i, ev.Event.Duration, i+2)
+	// Oldest first: the ring holds events 16..79, so it opens on op 8's
+	// start and closes on op 39's end.
+	for k, ev := range evs {
+		i := 2*ops - flightRing + k
+		if ev.Start != (i%2 == 0) {
+			t.Fatalf("event %d: start = %v, want %v", k, ev.Start, i%2 == 0)
+		}
+		if !ev.Start && ev.Reads != uint64(i/2) {
+			t.Fatalf("event %d: reads = %d, want %d", k, ev.Reads, i/2)
 		}
 	}
 }
@@ -154,7 +174,7 @@ func TestWriteToPrometheusFormat(t *testing.T) {
 	r.SetScheme("W-BOX")
 	r.Inc(CtrWBoxSplits)
 	r.Add(CtrLIDFAllocs, 7)
-	c := r.Begin("W-BOX", OpLookup, 0, 0)
+	c := r.Begin("W-BOX", OpLookup, false, 0, 0)
 	r.End(c, 2, 0, nil)
 
 	out := r.String()
@@ -194,7 +214,7 @@ func TestFormatCounters(t *testing.T) {
 func TestSnapshotTotals(t *testing.T) {
 	r := NewRegistry()
 	for i := 0; i < 5; i++ {
-		c := r.Begin("naive", OpDelete, 0, 0)
+		c := r.Begin("naive", OpDelete, false, 0, 0)
 		r.End(c, uint64(i), 0, nil)
 	}
 	s := r.Snapshot().Ops["delete"]

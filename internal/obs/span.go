@@ -324,19 +324,11 @@ type SlowOp struct {
 	Tree []SpanRecord `json:"tree,omitempty"`
 }
 
-// TraceOptions configures Tracer.Start.
-type TraceOptions struct {
-	// Capacity is the span ring size (default 65536).
-	Capacity int
-	// SlowOp, when > 0, captures the span tree of any root operation span
-	// whose duration meets the threshold.
-	SlowOp time.Duration
-	// SlowRing is how many slow ops are retained (default 32).
-	SlowRing int
-	// SlowLogger, when set, additionally logs one structured record per
-	// slow op at level Warn.
-	SlowLogger *slog.Logger
-}
+// Tracer ring sizes: the span ring and the slow-op ring.
+const (
+	spanRing = 65536
+	slowRing = 32
+)
 
 // maxSlowTree bounds the spans collected per slow op.
 const maxSlowTree = 256
@@ -362,7 +354,6 @@ type Tracer struct {
 	slow        []SlowOp
 	slowNext    int
 	slowWrapped bool
-	slowLog     *slog.Logger
 }
 
 type readerCtx struct {
@@ -372,27 +363,22 @@ type readerCtx struct {
 
 func newTracer() *Tracer { return &Tracer{} }
 
-// Start enables span recording. Restarting an enabled tracer resets it.
-func (t *Tracer) Start(o TraceOptions) {
+// Start enables span recording. When slowOp > 0, any root operation span
+// whose duration meets it has its span tree captured and logged via
+// slog.Default() at Warn. Restarting an enabled tracer resets it.
+func (t *Tracer) Start(slowOp time.Duration) {
 	if t == nil {
 		return
 	}
-	if o.Capacity < 1 {
-		o.Capacity = 65536
-	}
-	if o.SlowRing < 1 {
-		o.SlowRing = 32
-	}
 	t.mu.Lock()
-	t.spans = make([]SpanRecord, o.Capacity)
+	t.spans = make([]SpanRecord, spanRing)
 	t.next, t.wrapped = 0, false
 	t.laneNames = []string{LaneWriter}
 	t.laneIdx = map[string]int32{LaneWriter: 0}
 	t.readers = make(map[uint64]readerCtx)
-	t.slow = make([]SlowOp, o.SlowRing)
+	t.slow = make([]SlowOp, slowRing)
 	t.slowNext, t.slowWrapped = 0, false
-	t.slowLog = o.SlowLogger
-	t.slowNs.Store(int64(o.SlowOp))
+	t.slowNs.Store(int64(slowOp))
 	t.mu.Unlock()
 	t.on.Store(true)
 }
@@ -484,9 +470,9 @@ func itoa(v uint64) string {
 	return string(b[i:])
 }
 
-// StartOp opens a root operation span on the writer lane (reader=false) or
-// the calling goroutine's reader lane.
-func (t *Tracer) StartOp(scheme string, op Op, reader bool) Span {
+// startOp opens a root operation span on the writer lane (reader=false) or
+// the calling goroutine's reader lane. Registry.Begin is its one caller.
+func (t *Tracer) startOp(scheme string, op Op, reader bool) Span {
 	if !t.Enabled() {
 		return Span{}
 	}
@@ -618,10 +604,9 @@ func (sp Span) EndCount(n int, err error) {
 			t.slowNext, t.slowWrapped = 0, true
 		}
 	}
-	log := t.slowLog
 	t.mu.Unlock()
-	if slow && log != nil {
-		log.Warn("boxes.slow_op",
+	if slow {
+		slog.Warn("boxes.slow_op",
 			slog.String("op", rec.Name),
 			slog.String("scheme", rec.Scheme),
 			slog.Duration("duration", d),

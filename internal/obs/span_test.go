@@ -95,7 +95,7 @@ func TestHistSnapshotSubAndQuantile(t *testing.T) {
 
 func TestTracerDisabledIsNullAndAllocFree(t *testing.T) {
 	var nilT *Tracer
-	sp := nilT.StartOp("s", OpInsert, false)
+	sp := nilT.startOp("s", OpInsert, false)
 	sp.End(nil) // must not panic
 
 	r := NewRegistry()
@@ -104,11 +104,11 @@ func TestTracerDisabledIsNullAndAllocFree(t *testing.T) {
 		t.Fatal("fresh tracer should be disabled")
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		sp := tr.StartOp("scheme", OpInsert, false)
+		c := r.Begin("scheme", OpInsert, false, 0, 0)
 		sp2 := tr.StartAuto(false, "child")
 		sp2.End(nil)
-		sp.End(nil)
 		tr.RecordAuto(false, "x", time.Time{}, 0)
+		r.End(c, 0, 0, nil)
 	}); n != 0 {
 		t.Fatalf("disabled tracer path allocates: %v allocs/op", n)
 	}
@@ -120,10 +120,12 @@ func TestTracerDisabledIsNullAndAllocFree(t *testing.T) {
 func TestTracerSpanHierarchyAndLanes(t *testing.T) {
 	r := NewRegistry()
 	tr := r.Tracer()
-	tr.Start(TraceOptions{Capacity: 128})
+	tr.Start(0)
 
-	op := tr.StartOp("B-BOX", OpInsert, false)
-	if tr.WriterSpanID() != op.ID() {
+	// Registry.Begin opens the root op span, End closes it.
+	c := r.Begin("B-BOX", OpInsert, false, 0, 0)
+	op := c.sp
+	if op.ID() == 0 || tr.WriterSpanID() != op.ID() {
 		t.Fatalf("writer span not installed")
 	}
 	child := tr.StartAuto(false, "block_write")
@@ -131,15 +133,16 @@ func TestTracerSpanHierarchyAndLanes(t *testing.T) {
 	tr.RecordSpan(LaneQueue, "queue_wait", op.ID(), time.Now(), time.Millisecond, 0, nil)
 	g := tr.StartLane(LaneCommitter, "commit_group", 0)
 	g.EndCount(3, nil)
-	op.End(nil)
+	r.End(c, 0, 0, nil)
 	if tr.WriterSpanID() != 0 {
 		t.Fatal("writer span not cleared at op end")
 	}
 
-	reader := tr.StartOp("B-BOX", OpLookup, true)
+	c = r.Begin("B-BOX", OpLookup, true, 0, 0)
+	reader := c.sp
 	rchild := tr.StartAuto(true, "block_read")
 	rchild.End(errors.New("boom"))
-	reader.End(nil)
+	r.End(c, 0, 0, nil)
 
 	spans := tr.Spans()
 	byName := map[string]SpanRecord{}
@@ -182,11 +185,11 @@ func TestTracerSpanHierarchyAndLanes(t *testing.T) {
 func TestSlowOpCapture(t *testing.T) {
 	r := NewRegistry()
 	tr := r.Tracer()
-	tr.Start(TraceOptions{SlowOp: time.Millisecond, SlowRing: 4})
+	tr.Start(time.Millisecond)
 
-	fast := tr.StartOp("W-BOX", OpLookup, false)
+	fast := tr.startOp("W-BOX", OpLookup, false)
 	fast.End(nil)
-	slow := tr.StartOp("W-BOX", OpInsert, false)
+	slow := tr.startOp("W-BOX", OpInsert, false)
 	child := tr.StartAuto(false, "fsync_wait")
 	time.Sleep(2 * time.Millisecond)
 	child.End(nil)
@@ -213,8 +216,8 @@ func TestSlowOpCapture(t *testing.T) {
 func TestWriteChromeTrace(t *testing.T) {
 	r := NewRegistry()
 	tr := r.Tracer()
-	tr.Start(TraceOptions{})
-	op := tr.StartOp("B-BOX", OpInsert, false)
+	tr.Start(0)
+	op := tr.startOp("B-BOX", OpInsert, false)
 	child := tr.StartAuto(false, "frame_write")
 	child.End(nil)
 	op.EndCount(0, errors.New("bad"))
@@ -258,7 +261,7 @@ func TestWriteChromeTrace(t *testing.T) {
 
 func TestSpansDebugEndpoint(t *testing.T) {
 	r := NewRegistry()
-	c := r.Begin("B-BOX", OpInsert, 0, 0)
+	c := r.Begin("B-BOX", OpInsert, false, 0, 0)
 	r.End(c, 3, 2, nil)
 	r.ObservePhase(OpInsert, PhaseBlockWrite, time.Millisecond)
 	r.ObservePhase(OpInsert, PhaseStructure, 2*time.Millisecond)

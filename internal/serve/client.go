@@ -28,10 +28,11 @@ var (
 	ErrDeadlineExpired = errors.New("serve: deadline expired server-side; op not applied")
 	// ErrReadOnly reports a store in read-only degraded mode.
 	ErrReadOnly = errors.New("serve: store is read-only (degraded)")
-	// ErrServerRestarted reports an epoch change on reconnect: the
-	// session's dedup state is gone, so the in-flight op's outcome is
-	// unknown (though atomic: fully present or fully absent). The client
-	// has already adopted the new epoch — subsequent calls proceed.
+	// ErrServerRestarted reports a lost session on reconnect (an epoch
+	// change, or the session table evicted the session): the session's
+	// dedup state is gone, so the in-flight op's outcome is unknown
+	// (though atomic: fully present or fully absent). The client has
+	// already adopted the fresh session — subsequent calls proceed.
 	ErrServerRestarted = errors.New("serve: server restarted; in-flight op outcome unknown")
 )
 
@@ -110,8 +111,9 @@ func (c *Client) Close() error {
 }
 
 // ensureConn dials and handshakes if the connection is down. Caller holds
-// c.mu. An epoch change fails the call with ErrServerRestarted but leaves
-// the client on the fresh session, so the next op proceeds.
+// c.mu. A lost session (an epoch change or an evicted session) fails the
+// call with ErrServerRestarted but leaves the client on the fresh session,
+// so the next op proceeds.
 func (c *Client) ensureConn() (net.Conn, error) {
 	if c.conn != nil {
 		return c.conn, nil
@@ -133,12 +135,15 @@ func (c *Client) ensureConn() (net.Conn, error) {
 		conn.Close()
 		return nil, fmt.Errorf("serve: handshake recv: %w: %w", faults.ErrTransient, err)
 	}
-	restarted := c.epoch != 0 && hello.Epoch != c.epoch
+	// Session IDs are never reused within an epoch, so a different ID
+	// means the server lost the session: the dedup table died with the
+	// old epoch, or the session table evicted the session.
+	lost := c.session != 0 && (hello.Epoch != c.epoch || hello.Session != c.session)
 	c.session = hello.Session
 	c.epoch = hello.Epoch
-	if restarted {
-		// The dedup table died with the old epoch; the in-flight seq can
-		// no longer be settled. Adopt the fresh session and report.
+	if lost {
+		// The in-flight seq can no longer be settled. Adopt the fresh
+		// session and report.
 		c.conn = conn
 		return nil, ErrServerRestarted
 	}

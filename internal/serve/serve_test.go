@@ -3,8 +3,10 @@ package serve
 import (
 	"context"
 	"errors"
+	"io"
 	"net"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -539,13 +541,7 @@ func TestServeSessionTableBounded(t *testing.T) {
 		// before the ConnsActive decrement in the handler's defer chain):
 		// a session still attached when the next one is minted cannot be
 		// evicted, and the table legitimately grows past the bound.
-		deadline := time.Now().Add(5 * time.Second)
-		for env.met.ConnsActive.Load() != 0 {
-			if time.Now().After(deadline) {
-				t.Fatal("connection handlers did not exit")
-			}
-			time.Sleep(time.Millisecond)
-		}
+		waitDetached(t, env)
 	}
 	env.srv.mu.Lock()
 	n := len(env.srv.sessions)
@@ -555,6 +551,84 @@ func TestServeSessionTableBounded(t *testing.T) {
 	}
 	if g := env.met.Sessions.Load(); g != int64(n) {
 		t.Fatalf("sessions gauge %d disagrees with table size %d", g, n)
+	}
+	env.shutdown()
+}
+
+// waitDetached waits until the server has no open connection, so every
+// session is detached and may be evicted.
+func waitDetached(t *testing.T, env *testEnv) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for env.met.ConnsActive.Load() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("connection handlers did not exit")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// lossyConn fails the first Read after lose is set, closing the conn: the
+// request went out, its ack is lost.
+type lossyConn struct {
+	net.Conn
+	lose *atomic.Bool
+}
+
+func (c lossyConn) Read(p []byte) (int, error) {
+	if c.lose.CompareAndSwap(true, false) {
+		c.Conn.Close()
+		return 0, io.ErrUnexpectedEOF
+	}
+	return c.Conn.Read(p)
+}
+
+// A retry whose session the server evicted while the client was away must
+// not be applied a second time: the server mints a new session ID for the
+// stale claim, and the client has to report the in-flight outcome as
+// unknown instead of re-sending the seq to the fresh session.
+func TestServeRetryAfterSessionEvictionNotReapplied(t *testing.T) {
+	env := startEnv(t, envOptions{maxSessions: 1})
+	ctx := context.Background()
+	var lose atomic.Bool
+	dials := 0
+	dial := func() (net.Conn, error) {
+		dials++
+		if dials == 2 {
+			// The reconnect after the lost ack: evict the first client's
+			// session through a second client before it gets there.
+			waitDetached(t, env)
+			other, err := Dial(env.addr, ClientOptions{Timeout: 5 * time.Second})
+			if err != nil {
+				return nil, err
+			}
+			other.Lookup(ctx, 1)
+			other.Close()
+			waitDetached(t, env)
+		}
+		conn, err := net.Dial("tcp", env.addr)
+		return lossyConn{Conn: conn, lose: &lose}, err
+	}
+	c, err := Dial(env.addr, ClientOptions{Timeout: 5 * time.Second, Dial: dial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	first := c.Session()
+	root, err := c.InsertFirst(ctx) // seq 1
+	if err != nil {
+		t.Fatal(err)
+	}
+	lose.Store(true)
+	_, err = c.Insert(ctx, root.End) // seq 2: applied, ack lost
+	if !errors.Is(err, ErrServerRestarted) {
+		t.Fatalf("insert after eviction: err = %v, want ErrServerRestarted", err)
+	}
+	if c.Session() == first {
+		t.Fatalf("client still on evicted session %d", first)
+	}
+	if n := env.store.Count(); n != 4 {
+		t.Fatalf("store holds %d labels, want 4: the retried insert applied twice", n)
 	}
 	env.shutdown()
 }

@@ -197,8 +197,8 @@ func (s *Server) dropConn(conn net.Conn) {
 
 // getSession resolves the handshake's session claim: 0 mints a fresh
 // session; a known ID resumes it (the dedup path); an unknown non-zero ID
-// (e.g. from before a restart) also mints fresh — the old dedup state is
-// gone and the epoch change tells the client so. The handler detaches via
+// (from before a restart, or evicted) also mints fresh — the old dedup
+// state is gone and the new ID tells the client so. The handler detaches via
 // releaseSession when its connection closes.
 func (s *Server) getSession(id uint64) *session {
 	s.mu.Lock()
